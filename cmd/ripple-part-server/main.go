@@ -10,8 +10,9 @@
 // The bound address is printed on stdout as "listening <addr>" once the
 // listener is up — harnesses that pass -addr 127.0.0.1:0 parse it to learn
 // the kernel-assigned port. SIGINT/SIGTERM shut down gracefully: in-flight
-// requests finish, the span log (if -trace is set) is dumped, and the
-// process exits 0.
+// requests finish executing but are not answered (to clients a stopping
+// server is a dead one, so they retry and fail over), the span log (if
+// -trace is set) is dumped, and the process exits 0.
 //
 // Observability flags mirror ripple-bench:
 //

@@ -467,6 +467,7 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 		if err != nil {
 			return nil, err
 		}
+		hintReadAhead(ls.views, envs)
 		var state stateAccess = ls
 		var counted *countingState
 		if prof != nil {
@@ -553,6 +554,30 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 			result.aggs = nil // merged through the table path instead
 		}
 		return result, nil
+	}
+}
+
+// hintReadAhead names the step's enabled keys — the only keys its creates and
+// computes can read — to every state view that can batch reads. The key slice
+// is built only once such a view exists, so stores without the capability
+// pay a failed type assertion per state table and nothing else.
+func hintReadAhead(views []kvstore.PartView, envs []envelope) {
+	var keys []any
+	for _, view := range views {
+		ra, ok := view.(kvstore.ReadAheader)
+		if !ok {
+			continue
+		}
+		if keys == nil {
+			seen := make(map[any]struct{}, len(envs))
+			for _, env := range envs {
+				if _, dup := seen[env.Dst]; !dup {
+					seen[env.Dst] = struct{}{}
+					keys = append(keys, env.Dst)
+				}
+			}
+		}
+		ra.ReadAhead(keys)
 	}
 }
 

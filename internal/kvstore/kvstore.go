@@ -143,6 +143,17 @@ type PartView interface {
 	EnumerateOrdered(fn PairFunc) error
 }
 
+// ReadAheader is an optional PartView capability for views whose reads cross
+// a boundary worth batching (a network hop). The caller names the keys it may
+// be about to Get; the view may fetch them together. It is a hint: a view may
+// ignore it, keys never read cost nothing, and Get stays correct for keys
+// outside it. A view that takes the hint may answer those keys as of one
+// point in the invocation rather than as of each Get — sound for an agent,
+// which is the only writer of its part while it runs.
+type ReadAheader interface {
+	ReadAhead(keys []any)
+}
+
 // PairFunc is the callback for part-local enumeration.
 type PairFunc func(key, value any) (stop bool, err error)
 

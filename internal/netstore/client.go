@@ -349,6 +349,13 @@ func (c *Client) rpcT(server int, req frame, attempt int, timeout time.Duration)
 			Part: req.Part, N: int64(attempt), Dur: dur, Trace: tr, Span: req.Span,
 		})
 	}
+	if err == nil && (resp.Code == errCodeClosed || resp.Code == errCodeMQClosed) {
+		// "I am closing" is a farewell, not a verdict about the data: the
+		// server is on its way down, so the call is retried and failed over
+		// like any other lost frame. Only this client's own closed flag is
+		// authoritative for ErrClosed.
+		err = fmt.Errorf("%w: server %d is closing: %s", errConnBroken, server, resp.errText())
+	}
 	if err != nil {
 		c.noteFailure(server)
 		return frame{}, err
@@ -626,11 +633,13 @@ func (c *Client) Tables() []string {
 	return out
 }
 
-// RunAgent implements kvstore.Store. The agent executes client-side against
-// RPC-backed part views — mobile code is not shipped over this transport
-// (Go functions don't serialize), so "collocated" here means "keyed to one
-// part's replica set". The SPI contract the engine relies on (one part's
-// view of every co-placed table) is preserved.
+// RunAgent implements kvstore.Store. The agent executes client-side — mobile
+// code is not shipped over this transport (Go functions don't serialize) —
+// so "collocated" here means the invocation, not the key, is the unit of wire
+// traffic: the agent's part views buffer its writes and send them as one
+// replicated batch frame per table when it returns nil, and fetch hinted
+// reads in one frame (see netShardView.run). The SPI contract the engine
+// relies on (one part's view of every co-placed table) is preserved.
 func (c *Client) RunAgent(tableName string, part int, agent kvstore.Agent) (any, error) {
 	c.mu.Lock()
 	meta, ok := c.tables[tableName]
@@ -645,7 +654,8 @@ func (c *Client) RunAgent(tableName string, part int, agent kvstore.Agent) (any,
 	if err := kvstore.CheckPart(part, parts); err != nil {
 		return nil, err
 	}
-	return agent(&netShardView{c: c, anchor: tableName, meta: meta, part: part})
+	sv := &netShardView{c: c, anchor: tableName, meta: meta, part: part}
+	return sv.run(agent)
 }
 
 // Close implements kvstore.Store.

@@ -114,8 +114,14 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
+func (s *Server) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
 // Close stops accepting, closes every connection, and wakes blocked queue
-// readers.
+// readers. Requests still in flight get no response (see serveConn).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -179,6 +185,14 @@ func (s *Server) serveConn(conn net.Conn) {
 					Kind: trace.KindRPCServer, Job: opName(req.Op), Part: req.Part,
 					N: int64(req.ID), Dur: dur, Trace: req.Trace, Parent: req.Span,
 				})
+			}
+			if s.isClosed() {
+				// A closing server looks like a dead one: whatever this
+				// request raced with Close into — an ErrClosed reply most of
+				// all — is dropped with the connection, so the client retries
+				// and fails over instead of taking a farewell as a verdict.
+				conn.Close()
+				return
 			}
 			wmu.Lock()
 			n, err := writeFrameN(conn, resp)
@@ -265,10 +279,24 @@ func (s *Server) dispatch(req frame) (frame, error) {
 		sh.items = make(map[string][]byte)
 		return frame{}, nil
 	case opPutBatch:
+		// Applied whole under the shard lock: no reader of this replica sees
+		// half of an agent's writes, and a replayed batch lands on the same
+		// final state.
 		for _, p := range req.Pairs {
-			sh.items[string(p.K)] = p.V
+			if p.Absent {
+				delete(sh.items, string(p.K))
+			} else {
+				sh.items[string(p.K)] = p.V
+			}
 		}
 		return frame{}, nil
+	case opGetBatch:
+		pairs := make([]wirePair, len(req.Pairs))
+		for i, p := range req.Pairs {
+			v, ok := sh.items[string(p.K)]
+			pairs[i] = wirePair{V: v, Absent: !ok}
+		}
+		return frame{Pairs: pairs}, nil
 	}
 	return frame{}, fmt.Errorf("netstore: unknown opcode %d", req.Op)
 }

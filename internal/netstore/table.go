@@ -1,9 +1,11 @@
 package netstore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ripple/internal/codec"
 	"ripple/internal/kvstore"
@@ -127,7 +129,8 @@ func (t *netTable) Size() (int, error) {
 // same contract as the in-process stores.
 func (t *netTable) EnumerateParts(pc kvstore.PartConsumer) (any, error) {
 	if t.meta.ubiq {
-		return pc.ProcessPart(&netShardView{c: t.c, anchor: t.name, meta: t.meta, part: 0})
+		sv := &netShardView{c: t.c, anchor: t.name, meta: t.meta, part: 0}
+		return sv.run(pc.ProcessPart)
 	}
 	results := make([]any, t.meta.parts)
 	errs := make([]error, t.meta.parts)
@@ -137,7 +140,7 @@ func (t *netTable) EnumerateParts(pc kvstore.PartConsumer) (any, error) {
 		go func(p int) {
 			defer wg.Done()
 			sv := &netShardView{c: t.c, anchor: t.name, meta: t.meta, part: p}
-			results[p], errs[p] = pc.ProcessPart(sv)
+			results[p], errs[p] = sv.run(pc.ProcessPart)
 		}(p)
 	}
 	wg.Wait()
@@ -244,13 +247,20 @@ func (c *Client) snapshotPairs(table string, part int, meta tableMeta, ordered b
 	return pairs, nil
 }
 
-// netShardView is an agent's window onto one part of every co-placed table,
-// backed by RPCs to the part's replica set.
+// netShardView is an agent's window onto one part of every co-placed table.
+// The invocation, not the key, is its unit of wire traffic: the part views it
+// hands out (one per table, shared by repeated View calls) buffer the
+// agent's writes and read ahead for it, and run sends each table's buffer as
+// one replicated frame when the agent succeeds.
 type netShardView struct {
 	c      *Client
 	anchor string // the table the agent was dispatched against
 	meta   tableMeta
 	part   int
+
+	mu    sync.Mutex
+	views []*netPartView // in first-View order, which is also flush order
+	sent  atomic.Bool    // a batch has gone out: the body's effects may be partly applied
 }
 
 var _ kvstore.ShardView = (*netShardView)(nil)
@@ -262,18 +272,62 @@ func (sv *netShardView) Part() int { return sv.part }
 // is a pure function of (part, fleet), so any two tables with the same part
 // count are co-placed, and ubiquitous tables are visible from everywhere.
 func (sv *netShardView) View(tableName string) (kvstore.PartView, error) {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	for _, pv := range sv.views {
+		if pv.table == tableName {
+			return pv, nil
+		}
+	}
 	meta, ok := sv.c.metaOf(tableName)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", kvstore.ErrNoTable, tableName)
 	}
-	if meta.ubiq {
-		return &netPartView{c: sv.c, table: tableName, meta: meta, part: sv.part, rpcPart: 0}, nil
-	}
-	if meta.parts != sv.meta.parts && !sv.meta.ubiq {
+	pv := &netPartView{c: sv.c, table: tableName, meta: meta, part: sv.part, rpcPart: sv.part, sent: &sv.sent}
+	switch {
+	case meta.ubiq:
+		pv.rpcPart = 0
+	case meta.parts != sv.meta.parts && !sv.meta.ubiq:
 		return nil, fmt.Errorf("%w: %q has %d parts, agent anchor %q has %d",
 			kvstore.ErrNotCoPlaced, tableName, meta.parts, sv.anchor, sv.meta.parts)
 	}
-	return &netPartView{c: sv.c, table: tableName, meta: meta, part: sv.part, rpcPart: sv.part}, nil
+	sv.views = append(sv.views, pv)
+	return pv, nil
+}
+
+// run is the one place agent code (a RunAgent body or an EnumerateParts
+// ProcessPart) executes against the view. A body that returns nil has its
+// buffered writes flushed, one batch per table; a body that returns an error
+// or panics never reaches the flush, so its buffers die with the view.
+//
+// The error class matters to the engine: it re-runs a body that failed with
+// kvstore.ErrTransient, which is only sound while none of the body's writes
+// have been applied. Once a batch has gone out — even one that exhausted its
+// retries, which may sit on some replicas and not on others — a transient
+// failure therefore surfaces as kvstore.ErrShardFailed, the class the engine
+// heals and restores a checkpoint for, with the transient tag dropped.
+func (sv *netShardView) run(body func(kvstore.ShardView) (any, error)) (any, error) {
+	res, err := body(sv)
+	if err == nil {
+		err = sv.flush()
+	}
+	if err != nil && errors.Is(err, kvstore.ErrTransient) && sv.sent.Load() {
+		err = fmt.Errorf("netstore: agent on %s part %d failed with writes applied: %w: %v",
+			sv.anchor, sv.part, kvstore.ErrShardFailed, err)
+	}
+	return res, err
+}
+
+func (sv *netShardView) flush() error {
+	sv.mu.Lock()
+	views := sv.views
+	sv.mu.Unlock()
+	for _, pv := range views {
+		if err := pv.flush(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // metaOf resolves a table's registry entry, falling back to the servers for
@@ -294,24 +348,67 @@ func (c *Client) metaOf(name string) (tableMeta, bool) {
 	return tableMeta{}, false
 }
 
-// netPartView gives an agent access to one part of one table over RPC. It
-// reports the anchor part index (ubiquitous views included, mirroring the
-// in-process stores) while routing RPCs to the owning part.
+// flushCap bounds one view's buffered writes: the Put or Delete that takes
+// them past it flushes early. It sits far below maxFrame, so a batch is never
+// refused as oversized, and it is what bounds the memory of an agent that
+// writes for a whole job before it returns (the no-sync worker).
+const flushCap = 1 << 20
+
+// netPartView gives an agent access to one part of one table. It reports the
+// anchor part index (ubiquitous views included, mirroring the in-process
+// stores) while routing RPCs to the owning part.
+//
+// Writes are buffered (write-behind) and leave as one opPutBatch frame; reads
+// see the buffer first (read-your-writes), then whatever a ReadAhead hint
+// fetched, then the wire. Both live in one map keyed by encoded key, valid
+// for this invocation only.
 type netPartView struct {
 	c       *Client
 	table   string
 	meta    tableMeta
 	part    int // reported part index (the agent's anchor part)
 	rpcPart int // part targeted on the wire (0 for ubiquitous tables)
+
+	mu         sync.Mutex
+	known      map[string]knownVal // buffered writes and read-ahead results
+	dirty      []string            // keys with an unflushed write, in first-write order
+	dirtyBytes int                 // encoded size of the unflushed writes
+	hint       []any               // ReadAhead keys not fetched yet
+	sent       *atomic.Bool        // the shard view's: set once a batch goes out
 }
 
-var _ kvstore.PartView = (*netPartView)(nil)
+// knownVal is what the view knows about one key without asking the servers.
+type knownVal struct {
+	val    []byte // encoded value
+	absent bool   // deleted, or read ahead and not found
+	dirty  bool   // written here and not flushed yet
+}
+
+var (
+	_ kvstore.PartView    = (*netPartView)(nil)
+	_ kvstore.ReadAheader = (*netPartView)(nil)
+)
 
 // Table implements kvstore.PartView.
 func (pv *netPartView) Table() string { return pv.table }
 
 // Part implements kvstore.PartView.
 func (pv *netPartView) Part() int { return pv.part }
+
+// call sends one request for this view's part through the client's retry,
+// failover and (for writes) replication path.
+func (pv *netPartView) call(req frame, write bool) (frame, error) {
+	req.Name, req.Part = pv.table, pv.rpcPart
+	return pv.c.callOp(pv.c.replicaSetFor(pv.rpcPart, pv.meta.ubiq), req, write)
+}
+
+// ReadAhead implements kvstore.ReadAheader. Nothing is fetched until a Get
+// misses the buffer, so an invocation that never reads pays nothing.
+func (pv *netPartView) ReadAhead(keys []any) {
+	pv.mu.Lock()
+	pv.hint = keys
+	pv.mu.Unlock()
+}
 
 // Get implements kvstore.PartView.
 func (pv *netPartView) Get(key any) (any, bool, error) {
@@ -320,16 +417,71 @@ func (pv *netPartView) Get(key any) (any, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := pv.c.callOp(pv.c.replicaSetFor(pv.rpcPart, pv.meta.ubiq),
-		frame{Op: opGet, Name: pv.table, Part: pv.rpcPart, Key: kb}, false)
+	kv, ok, err := pv.lookup(string(kb))
 	if err != nil {
 		return nil, false, err
 	}
-	if !resp.Flag {
+	if !ok {
+		resp, err := pv.call(frame{Op: opGet, Key: kb}, false)
+		if err != nil {
+			return nil, false, err
+		}
+		kv = knownVal{val: resp.Val, absent: !resp.Flag}
+	}
+	if kv.absent {
 		return nil, false, nil
 	}
-	v, err := decVal(resp.Val)
+	v, err := decVal(kv.val)
 	return v, err == nil, err
+}
+
+// lookup answers from what the view already knows, reading ahead first when
+// a hint is pending and the key is not known yet.
+func (pv *netPartView) lookup(k string) (knownVal, bool, error) {
+	pv.mu.Lock()
+	defer pv.mu.Unlock()
+	kv, ok := pv.known[k]
+	if !ok && pv.hint != nil {
+		if err := pv.readAheadLocked(); err != nil {
+			return knownVal{}, false, err
+		}
+		kv, ok = pv.known[k]
+	}
+	return kv, ok, nil
+}
+
+// readAheadLocked fetches the hinted keys the view does not already know in
+// one frame. The caller holds pv.mu.
+func (pv *netPartView) readAheadLocked() error {
+	keys := pv.hint
+	pv.hint = nil
+	req := frame{Op: opGetBatch, Pairs: make([]wirePair, 0, len(keys))}
+	for _, key := range keys {
+		kb, err := encKey(key)
+		if err != nil {
+			return err
+		}
+		if _, ok := pv.known[string(kb)]; !ok {
+			req.Pairs = append(req.Pairs, wirePair{K: kb})
+		}
+	}
+	if len(req.Pairs) == 0 {
+		return nil
+	}
+	resp, err := pv.call(req, false)
+	if err != nil {
+		return err
+	}
+	if len(resp.Pairs) != len(req.Pairs) {
+		return fmt.Errorf("%w: get_batch answered %d of %d keys", errBadFrame, len(resp.Pairs), len(req.Pairs))
+	}
+	if pv.known == nil {
+		pv.known = make(map[string]knownVal, len(req.Pairs))
+	}
+	for i, p := range resp.Pairs {
+		pv.known[string(req.Pairs[i].K)] = knownVal{val: p.V, absent: p.Absent}
+	}
+	return nil
 }
 
 // Put implements kvstore.PartView.
@@ -343,9 +495,7 @@ func (pv *netPartView) Put(key, value any) error {
 	if err != nil {
 		return err
 	}
-	_, err = pv.c.callOp(pv.c.replicaSetFor(pv.rpcPart, pv.meta.ubiq),
-		frame{Op: opPut, Name: pv.table, Part: pv.rpcPart, Key: kb, Val: vb}, true)
-	return err
+	return pv.buffer(kb, knownVal{val: vb, dirty: true})
 }
 
 // Delete implements kvstore.PartView.
@@ -355,25 +505,78 @@ func (pv *netPartView) Delete(key any) error {
 	if err != nil {
 		return err
 	}
-	_, err = pv.c.callOp(pv.c.replicaSetFor(pv.rpcPart, pv.meta.ubiq),
-		frame{Op: opDelete, Name: pv.table, Part: pv.rpcPart, Key: kb}, true)
+	return pv.buffer(kb, knownVal{absent: true, dirty: true})
+}
+
+// buffer records one write; a later write to the same key replaces it in
+// place, which the batch's atomic application makes equivalent to sending
+// both.
+func (pv *netPartView) buffer(kb []byte, kv knownVal) error {
+	pv.mu.Lock()
+	defer pv.mu.Unlock()
+	k := string(kb)
+	if old := pv.known[k]; old.dirty {
+		pv.dirtyBytes -= len(old.val)
+	} else {
+		pv.dirty = append(pv.dirty, k)
+		pv.dirtyBytes += len(k)
+	}
+	pv.dirtyBytes += len(kv.val)
+	if pv.known == nil {
+		pv.known = make(map[string]knownVal)
+	}
+	pv.known[k] = kv
+	if pv.dirtyBytes >= flushCap {
+		return pv.flushLocked()
+	}
+	return nil
+}
+
+// flush sends the buffered writes as one replicated batch.
+func (pv *netPartView) flush() error {
+	pv.mu.Lock()
+	defer pv.mu.Unlock()
+	return pv.flushLocked()
+}
+
+// flushLocked is flush with pv.mu held. The flushed keys leave the map, so
+// later reads of them go to the servers. The buffer is gone whether or not
+// the batch lands: a failed flush ends the invocation (see netShardView.run
+// for the error class it surfaces as).
+func (pv *netPartView) flushLocked() error {
+	if len(pv.dirty) == 0 {
+		return nil
+	}
+	pairs := make([]wirePair, len(pv.dirty))
+	for i, k := range pv.dirty {
+		kv := pv.known[k]
+		pairs[i] = wirePair{K: []byte(k), V: kv.val, Absent: kv.absent}
+		delete(pv.known, k)
+	}
+	pv.c.met.AddMarshalledBytes(int64(pv.dirtyBytes))
+	pv.dirty, pv.dirtyBytes = pv.dirty[:0], 0
+	pv.sent.Store(true)
+	_, err := pv.call(frame{Op: opPutBatch, Pairs: pairs}, true)
 	return err
 }
 
-// Len implements kvstore.PartView.
+// Len implements kvstore.PartView. The server counts, so buffered writes go
+// out first.
 func (pv *netPartView) Len() (int, error) {
-	resp, err := pv.c.callOp(pv.c.replicaSetFor(pv.rpcPart, pv.meta.ubiq),
-		frame{Op: opLen, Name: pv.table, Part: pv.rpcPart}, false)
+	if err := pv.flush(); err != nil {
+		return 0, err
+	}
+	resp, err := pv.call(frame{Op: opLen}, false)
 	if err != nil {
 		return 0, err
 	}
 	return int(resp.Aux), nil
 }
 
-// Enumerate implements kvstore.PartView: one snapshot RPC, then a local
-// visit. The snapshot is taken at a point between the caller's operations
-// (the same guarantee the in-process stores give for enumeration during
-// concurrent writes).
+// Enumerate implements kvstore.PartView: buffered writes go out first, then
+// one snapshot RPC and a local visit. The snapshot is taken at a point
+// between the caller's operations (the same guarantee the in-process stores
+// give for enumeration during concurrent writes).
 func (pv *netPartView) Enumerate(fn kvstore.PairFunc) error {
 	return pv.enumerate(fn, false)
 }
@@ -384,6 +587,9 @@ func (pv *netPartView) EnumerateOrdered(fn kvstore.PairFunc) error {
 }
 
 func (pv *netPartView) enumerate(fn kvstore.PairFunc, ordered bool) error {
+	if err := pv.flush(); err != nil {
+		return err
+	}
 	pairs, err := pv.c.snapshotPairs(pv.table, pv.rpcPart, pv.meta, ordered)
 	if err != nil {
 		return err

@@ -44,7 +44,8 @@ const (
 	opLen                          // Name, Part; response Aux = pairs in part
 	opSnapshot                     // Name, Part; response Pairs = every pair in part
 	opClearPart                    // Name, Part
-	opPutBatch                     // Name, Part, Pairs
+	opPutBatch                     // Name, Part, Pairs (Absent = delete); applied atomically under the shard lock
+	opGetBatch                     // Name, Part, Pairs = keys; response Pairs = values in request order (Absent = miss)
 	opMQCreate                     // Name, Part = queues
 	opMQDelete                     // Name
 	opMQPut                        // Name, Part = queue, Val = message
@@ -74,6 +75,7 @@ var opNames = map[uint8]string{
 	opSnapshot:    "snapshot",
 	opClearPart:   "clear_part",
 	opPutBatch:    "put_batch",
+	opGetBatch:    "get_batch",
 	opMQCreate:    "mq_create",
 	opMQDelete:    "mq_delete",
 	opMQPut:       "mq_put",
@@ -175,9 +177,12 @@ func errFromCode(code uint8, msg string) error {
 	}
 }
 
-// wirePair is one key/value pair in its opaque encoded form.
+// wirePair is one key/value pair in its opaque encoded form. Absent marks a
+// key with no value: a delete in an opPutBatch request, a miss in an
+// opGetBatch response.
 type wirePair struct {
-	K, V []byte
+	K, V   []byte
+	Absent bool
 }
 
 // frame is the transport's single message shape, for requests and responses
@@ -216,11 +221,7 @@ func init() {
 			e.Uvarint(f.ID)
 			e.Byte(f.Op)
 			e.Byte(f.Code)
-			if f.Flag {
-				e.Byte(1)
-			} else {
-				e.Byte(0)
-			}
+			e.Byte(boolByte(f.Flag))
 			e.String(f.Name)
 			e.Int(f.Part)
 			e.Varint(f.Aux)
@@ -234,6 +235,7 @@ func init() {
 				e.Append(p.K)
 				e.Uvarint(uint64(len(p.V)))
 				e.Append(p.V)
+				e.Byte(boolByte(p.Absent))
 			}
 			e.Uvarint(f.Trace)
 			e.Uvarint(f.Span)
@@ -285,6 +287,10 @@ func init() {
 					if p.V, err = decBytes(d); err != nil {
 						return nil, err
 					}
+					if b, err = d.Byte(); err != nil {
+						return nil, err
+					}
+					p.Absent = b != 0
 					f.Pairs = append(f.Pairs, p)
 				}
 			}
@@ -302,12 +308,19 @@ func init() {
 			f.Val = append([]byte(nil), f.Val...)
 			pairs := make([]wirePair, len(f.Pairs))
 			for i, p := range f.Pairs {
-				pairs[i] = wirePair{K: append([]byte(nil), p.K...), V: append([]byte(nil), p.V...)}
+				pairs[i] = wirePair{K: append([]byte(nil), p.K...), V: append([]byte(nil), p.V...), Absent: p.Absent}
 			}
 			f.Pairs = pairs
 			return f, nil
 		},
 	})
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // decBytes reads a uvarint-length byte field (nil when empty).

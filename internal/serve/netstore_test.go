@@ -50,17 +50,22 @@ func startTestFleet(t *testing.T, n int) *testFleet {
 }
 
 // kill closes one server and respawns a fresh, empty one on the same address
-// ~200ms later — an in-process stand-in for SIGKILLing a part-server.
-func (f *testFleet) kill(server int) {
+// — an in-process stand-in for SIGKILLing a part-server and having its
+// supervisor restart it. The address stays dark until the client's failure
+// detector has counted the death (failovers moves): a respawn that answered
+// sooner would be taken for the old process, and its "no such table" for a
+// verdict on the job's data.
+func (f *testFleet) kill(server int, failovers func() int64) {
 	f.mu.Lock()
 	victim := f.servers[server]
 	addr := f.addrs[server]
 	f.mu.Unlock()
+	before := failovers()
 	_ = victim.Close()
-	time.Sleep(200 * time.Millisecond)
+	waitUntil(f.t, "the client to sense the kill", func() bool { return failovers() > before })
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		f.t.Logf("fleet respawn %s: %v", addr, err)
+		f.t.Errorf("fleet respawn %s: %v", addr, err)
 		return
 	}
 	srv := netstore.NewServer()
@@ -83,7 +88,7 @@ func dialTestFleet(t *testing.T, addrs []string, inj *chaos.Injector) *netstore.
 	opts := []netstore.Option{
 		netstore.WithReplicas(2),
 		netstore.WithHeartbeat(25*time.Millisecond, 2),
-		netstore.WithRequestTimeout(300*time.Millisecond),
+		netstore.WithRequestTimeout(300 * time.Millisecond),
 		netstore.WithRetries(10),
 		netstore.WithBackoffSeed(3),
 	}
@@ -116,15 +121,17 @@ func TestNetstoreChaosKillUnderSSE(t *testing.T) {
 
 	fleet := startTestFleet(t, 3)
 	var killed atomic.Int32
+	var client *netstore.Client
 	inj := chaos.NewInjector(chaos.Schedule{
 		Seed:     3,
 		NetKills: []chaos.NetKill{{Server: 1, AfterFrames: 150}},
 	})
+	// Fires from the client's send path, so client is set by then.
 	inj.OnNetKill(func(server int) {
 		killed.Add(1)
-		fleet.kill(server)
+		fleet.kill(server, client.Failovers)
 	})
-	client := dialTestFleet(t, fleet.addrs, inj)
+	client = dialTestFleet(t, fleet.addrs, inj)
 
 	svc := newService(t, Options{Store: client, MaxConcurrent: 1, CheckpointEvery: 3})
 	ts := httptest.NewServer(svc.Handler())
@@ -191,8 +198,7 @@ func TestNetstoreCancel(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	rec := slowJob(t, svc, "")
-	waitStatus(t, svc, rec.ID, StatusRunning)
-	time.Sleep(100 * time.Millisecond)
+	waitStep(t, svc, rec.ID)
 
 	req, err := http.NewRequest("DELETE", ts.URL+"/v1/jobs/"+rec.ID, nil)
 	if err != nil {

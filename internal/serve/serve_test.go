@@ -61,6 +61,46 @@ func waitStatus(t *testing.T, s *Service, id string, want ...string) *JobRecord 
 	return nil
 }
 
+// waitUntil polls cond until it holds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Errorf("timed out waiting for %s", what)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitStep blocks until the job has finished a synchronized step: it is
+// running and inside the step loop.
+func waitStep(t *testing.T, s *Service, id string) {
+	t.Helper()
+	replay, live, cancel := s.hub.subscribe(id)
+	defer cancel()
+	for _, ev := range replay {
+		if ev.Type == "step" {
+			return
+		}
+	}
+	timeout := time.After(30 * time.Second)
+	for {
+		select {
+		case ev := <-live:
+			if ev.Type == "step" {
+				return
+			}
+			if ev.terminal() {
+				t.Fatalf("job %s ended (%v) before its first step", id, ev.Data["status"])
+			}
+		case <-timeout:
+			t.Fatalf("job %s never finished a step", id)
+		}
+	}
+}
+
 func params(t *testing.T, v any) json.RawMessage {
 	t.Helper()
 	raw, err := json.Marshal(v)
@@ -179,8 +219,7 @@ func slowJob(t *testing.T, s *Service, tenant string) *JobRecord {
 func TestCancelRunningJobInProcess(t *testing.T) {
 	s := newService(t, Options{MaxConcurrent: 1})
 	rec := slowJob(t, s, "")
-	waitStatus(t, s, rec.ID, StatusRunning)
-	time.Sleep(50 * time.Millisecond) // let it get into the step loop
+	waitStep(t, s, rec.ID)
 
 	start := time.Now()
 	if _, err := s.Cancel(rec.ID); err != nil {
