@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,5 +235,69 @@ func TestScheduledKillFiresAndRearms(t *testing.T) {
 	recs := inj.Records()
 	if len(recs) != 1 || recs[0].Kind != "kill" || recs[0].Name != "late" {
 		t.Errorf("records = %v, want one kill on late", recs)
+	}
+}
+
+// slowKillStore is a Replicated store whose first FailPrimary does not return
+// until released, holding open the window in which other dispatches run.
+type slowKillStore struct {
+	kvstore.Store // nil: only the methods below are reached
+	mu            sync.Mutex
+	kills         int
+	entered       chan struct{} // closed when the first FailPrimary starts
+	release       chan struct{}
+}
+
+func (s *slowKillStore) Name() string  { return "slowkill" }
+func (s *slowKillStore) Replicas() int { return 2 }
+
+func (s *slowKillStore) RunAgent(string, int, kvstore.Agent) (any, error) { return nil, nil }
+
+func (s *slowKillStore) FailPrimary(string, int) error {
+	s.mu.Lock()
+	s.kills++
+	first := s.kills == 1
+	s.mu.Unlock()
+	if first {
+		close(s.entered)
+		<-s.release
+	}
+	return nil
+}
+
+// The engine dispatches a step's parts concurrently; a scheduled kill that
+// becomes due must be executed by exactly one of those dispatches. Killing
+// the same primary twice with two replicas and no Heal loses the part.
+func TestScheduledKillFiresOnceUnderConcurrentDispatch(t *testing.T) {
+	fake := &slowKillStore{entered: make(chan struct{}), release: make(chan struct{})}
+	inj := NewInjector(Schedule{Seed: 1, Kills: []Kill{{Table: "t", Part: 0, AfterDispatches: 0}}})
+	store := Wrap(fake, inj)
+
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		_, _ = store.RunAgent("t", 0, nil)
+	}()
+	<-fake.entered // dispatch 0 is inside FailPrimary; the kill has not returned
+
+	// Only the first FailPrimary blocks, so the other dispatches run to
+	// completion inside that window.
+	var others sync.WaitGroup
+	for p := 1; p < 6; p++ {
+		others.Add(1)
+		go func(p int) {
+			defer others.Done()
+			_, _ = store.RunAgent("t", p, nil)
+		}(p)
+	}
+	others.Wait()
+	close(fake.release)
+	<-first
+
+	if fake.kills != 1 {
+		t.Errorf("FailPrimary called %d times for one scheduled kill, want 1", fake.kills)
+	}
+	if recs := inj.Records(); len(recs) != 1 || recs[0].Kind != "kill" {
+		t.Errorf("records = %v, want one kill", recs)
 	}
 }

@@ -164,39 +164,32 @@ func (inj *Injector) agentFault(target kvstore.Store, name string, part int) err
 	return nil
 }
 
-// fireKills advances the dispatch clock and executes due kills. A kill whose
-// table does not exist yet stays armed for a later dispatch.
+// fireKills advances the dispatch clock and executes due kills. A due kill is
+// claimed under the lock, so concurrent dispatches — the engine dispatches a
+// step's parts in parallel — fire it once, not once each. A kill whose table
+// does not exist yet is un-claimed and stays armed for a later dispatch.
 func (inj *Injector) fireKills(target kvstore.Store) {
+	rep, ok := target.(kvstore.Replicated)
 	inj.mu.Lock()
 	inj.dispatches++
 	d := inj.dispatches
 	var due []int
 	for i, k := range inj.sched.Kills {
-		if !inj.killFired[i] && k.AfterDispatches < d {
+		if ok && !inj.killFired[i] && k.AfterDispatches < d {
+			inj.killFired[i] = true
 			due = append(due, i)
 		}
 	}
 	inj.mu.Unlock()
-	if len(due) == 0 {
-		return
-	}
-	rep, ok := target.(kvstore.Replicated)
-	if !ok {
-		return
-	}
 	for _, i := range due {
 		k := inj.sched.Kills[i]
-		err := rep.FailPrimary(k.Table, k.Part)
-		if errors.Is(err, kvstore.ErrNoTable) {
-			continue // table not created yet; keep the kill armed
+		if err := rep.FailPrimary(k.Table, k.Part); errors.Is(err, kvstore.ErrNoTable) {
+			inj.mu.Lock()
+			inj.killFired[i] = false
+			inj.mu.Unlock()
+			continue
 		}
-		inj.mu.Lock()
-		fired := inj.killFired[i]
-		inj.killFired[i] = true
-		inj.mu.Unlock()
-		if !fired {
-			inj.record("kill", k.Table, k.Part, k.AfterDispatches)
-		}
+		inj.record("kill", k.Table, k.Part, k.AfterDispatches)
 	}
 }
 
