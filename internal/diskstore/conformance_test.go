@@ -1,0 +1,32 @@
+package diskstore
+
+import (
+	"testing"
+
+	"ripple/internal/kvstore"
+	"ripple/internal/kvstore/kvstoretest"
+)
+
+func TestConformance(t *testing.T) {
+	kvstoretest.Run(t, func(t *testing.T) kvstore.Store {
+		s, err := New(t.TempDir(), WithParts(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s
+	}, kvstoretest.Profile{
+		Name:         "diskstore",
+		DefaultParts: 3,
+		Caps:         kvstoretest.Caps{Flusher: true},
+		// diskstore drops kvstore.Ordered: EnumeratePairs visits a part in
+		// memtable/run order.
+		OrderedPairs: false,
+		CustomHasher: true,
+		// A ubiquitous table is an ordinary one-part table here, so an agent
+		// may run against it.
+		AgentOnUbiquitous: true,
+		UbiquitousScope:   true,
+		ClosedAgents:      true,
+	})
+}

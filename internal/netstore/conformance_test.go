@@ -1,0 +1,30 @@
+package netstore
+
+import (
+	"testing"
+
+	"ripple/internal/kvstore"
+	"ripple/internal/kvstore/kvstoretest"
+)
+
+func TestConformance(t *testing.T) {
+	kvstoretest.Run(t, func(t *testing.T) kvstore.Store {
+		addrs, _, stop := fleet(t, 3)
+		t.Cleanup(stop)
+		return dialFleet(t, addrs, WithReplicas(2), WithDefaultParts(3))
+	}, kvstoretest.Profile{
+		Name:         "netstore",
+		DefaultParts: 3,
+		Caps:         kvstoretest.Caps{Healer: true, FailureSensor: true, TraceBinder: true},
+		OrderedPairs: true,
+		// Placement must be computable on both sides of the wire, and a
+		// hasher function does not serialize.
+		CustomHasher:      false,
+		AgentOnUbiquitous: true,
+		// Co-placement is structural (part count only), and a ubiquitous
+		// anchor has no part count to disagree with.
+		UbiquitousScope: false,
+		// Close gates the catalogue; a later dispatch redials.
+		ClosedAgents: false,
+	})
+}
