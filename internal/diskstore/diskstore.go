@@ -166,6 +166,9 @@ type group struct {
 	shards []*shard
 }
 
+// Placement implements tablecore.Placed.
+func (g *group) Placement() (int, codec.Hasher) { return g.parts, g.hasher }
+
 // shard owns the part state (one per member table) for one part.
 type shard struct {
 	part int

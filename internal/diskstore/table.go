@@ -2,11 +2,11 @@ package diskstore
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ripple/internal/codec"
 	"ripple/internal/kvstore"
+	"ripple/internal/kvstore/tablecore"
 )
 
 // table is a diskstore table handle. A ubiquitous diskstore table is simply a
@@ -143,64 +143,16 @@ func (t *table) Size() (int, error) {
 
 // EnumerateParts implements kvstore.Table.
 func (t *table) EnumerateParts(pc kvstore.PartConsumer) (any, error) {
-	parts := t.Parts()
-	results := make([]any, parts)
-	errs := make([]error, parts)
-	var wg sync.WaitGroup
-	for p := 0; p < parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sv := &shardView{store: t.store, group: t.group, shard: t.group.shards[p]}
-			results[p], errs[p] = pc.ProcessPart(sv)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	combined := results[0]
-	var err error
-	for p := 1; p < parts; p++ {
-		combined, err = pc.Combine(combined, results[p])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return combined, nil
+	return tablecore.ForEachPart(t.Parts(), pc.Combine, func(p int) (any, error) {
+		return pc.ProcessPart(&shardView{store: t.store, group: t.group, shard: t.group.shards[p]})
+	})
 }
 
-// EnumeratePairs implements kvstore.Table.
+// EnumeratePairs implements kvstore.Table. kvstore.Ordered is not kept: a
+// part's pairs come in memtable/run order.
 func (t *table) EnumeratePairs(pc kvstore.PairConsumer) (any, error) {
-	return t.EnumerateParts(pairConsumerAdapter{t: t, pc: pc})
+	return t.EnumerateParts(tablecore.PairsByPart(t.name, false, pc))
 }
-
-type pairConsumerAdapter struct {
-	t  *table
-	pc kvstore.PairConsumer
-}
-
-var _ kvstore.PartConsumer = pairConsumerAdapter{}
-
-func (a pairConsumerAdapter) ProcessPart(sv kvstore.ShardView) (any, error) {
-	view, err := sv.View(a.t.name)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.pc.SetupPart(sv.Part()); err != nil {
-		return nil, err
-	}
-	if err := view.Enumerate(func(k, v any) (bool, error) {
-		return a.pc.ConsumePair(k, v)
-	}); err != nil {
-		return nil, err
-	}
-	return a.pc.FinishPart(sv.Part())
-}
-
-func (a pairConsumerAdapter) Combine(x, y any) (any, error) { return a.pc.Combine(x, y) }
 
 // shardView is the agent window for diskstore.
 type shardView struct {
@@ -225,22 +177,10 @@ func (sv *shardView) View(tableName string) (kvstore.PartView, error) {
 	if t.ubiquitous {
 		return &partView{store: sv.store, table: t, shard: t.group.shards[0]}, nil
 	}
-	if !coPlaced(t.group, sv.group) {
+	if !tablecore.CoPlaced(t.group, sv.group) {
 		return nil, fmt.Errorf("%w: %q", kvstore.ErrNotCoPlaced, tableName)
 	}
 	return &partView{store: sv.store, table: t, shard: t.group.shards[sv.shard.part]}, nil
-}
-
-func coPlaced(a, b *group) bool {
-	if a == b {
-		return true
-	}
-	if a.parts != b.parts {
-		return false
-	}
-	_, da := a.hasher.(codec.DefaultHasher)
-	_, db := b.hasher.(codec.DefaultHasher)
-	return da && db
 }
 
 // partView is local access to one disk part.

@@ -1,24 +1,15 @@
 package gridstore
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"ripple/internal/kvstore"
 	"ripple/internal/metrics"
 )
 
-func TestStoreIdentityAndOptions(t *testing.T) {
+func TestReplicasAndMetricsOptions(t *testing.T) {
 	m := &metrics.Collector{}
-	s := newStore(t, WithMetrics(m), WithReplicas(3), WithParts(5),
-		WithLatency(time.Microsecond))
-	if s.Name() != "gridstore" {
-		t.Errorf("Name = %q", s.Name())
-	}
-	if s.DefaultParts() != 5 {
-		t.Errorf("DefaultParts = %d", s.DefaultParts())
-	}
+	s := newStore(t, WithMetrics(m), WithReplicas(3))
 	if s.Replicas() != 3 {
 		t.Errorf("Replicas = %d", s.Replicas())
 	}
@@ -30,15 +21,6 @@ func TestStoreIdentityAndOptions(t *testing.T) {
 	if m.Snapshot().MarshalledBytes == 0 {
 		t.Error("marshalling not counted")
 	}
-	if got := s.Tables(); len(got) != 1 || got[0] != "t" {
-		t.Errorf("Tables = %v", got)
-	}
-	if !tab.(*table).ordered {
-		_ = tab // Ordered not set; just exercise the accessors below.
-	}
-	if tab.Name() != "t" || tab.Ubiquitous() {
-		t.Errorf("table identity: %q %v", tab.Name(), tab.Ubiquitous())
-	}
 }
 
 func TestWithoutMarshallingGrid(t *testing.T) {
@@ -48,135 +30,6 @@ func TestWithoutMarshallingGrid(t *testing.T) {
 	_ = tab.Put(1, []int{1, 2})
 	if m.Snapshot().MarshalledBytes != 0 {
 		t.Error("marshalled despite WithoutMarshalling")
-	}
-}
-
-func TestEnumeratePairsGrid(t *testing.T) {
-	s := newStore(t, WithParts(3))
-	tab, _ := s.CreateTable("t", kvstore.Ordered())
-	for i := 0; i < 40; i++ {
-		_ = tab.Put(i, i)
-	}
-	var mu sync.Mutex
-	sum := 0
-	parts := map[int]bool{}
-	_, err := tab.EnumeratePairs(kvstore.PairConsumerFuncs{
-		SetupFn: func(p int) error {
-			mu.Lock()
-			parts[p] = true
-			mu.Unlock()
-			return nil
-		},
-		ConsumeFn: func(k, v any) (bool, error) {
-			mu.Lock()
-			sum += v.(int)
-			mu.Unlock()
-			return false, nil
-		},
-		FinishFn:  func(p int) (any, error) { return p, nil },
-		CombineFn: func(a, b any) (any, error) { return a, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 39*40/2 {
-		t.Errorf("sum = %d", sum)
-	}
-	if len(parts) != 3 {
-		t.Errorf("setup saw %d parts", len(parts))
-	}
-}
-
-func TestOrderedEnumerationGrid(t *testing.T) {
-	s := newStore(t, WithParts(2))
-	tab, _ := s.CreateTable("t")
-	for _, k := range []int{9, 1, 5, 3} {
-		_ = tab.Put(k, k)
-	}
-	for p := 0; p < 2; p++ {
-		_, err := s.RunAgent("t", p, func(sv kvstore.ShardView) (any, error) {
-			view, _ := sv.View("t")
-			prev := -1
-			return nil, view.EnumerateOrdered(func(k, _ any) (bool, error) {
-				if k.(int) <= prev {
-					t.Errorf("out of order: %v after %d", k, prev)
-				}
-				prev = k.(int)
-				return false, nil
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestUbiquitousViewsGrid(t *testing.T) {
-	s := newStore(t)
-	u, _ := s.CreateTable("u", kvstore.Ubiquitous())
-	_ = u.Put("a", 1)
-	_ = u.Put("b", 2)
-	if u.PartOf("anything") != 0 {
-		t.Error("ubiquitous PartOf != 0")
-	}
-	// EnumerateParts over a ubiquitous table uses the single-part path.
-	res, err := u.EnumerateParts(kvstore.PartConsumerFuncs{
-		ProcessFn: func(sv kvstore.ShardView) (any, error) {
-			if sv.Part() != 0 {
-				t.Errorf("part = %d", sv.Part())
-			}
-			view, err := sv.View("u")
-			if err != nil {
-				return nil, err
-			}
-			if view.Table() != "u" || view.Part() != 0 {
-				t.Errorf("view identity %s/%d", view.Table(), view.Part())
-			}
-			n, _ := view.Len()
-			// Exercise the ubiquitous part view mutations too.
-			if err := view.Put("c", 3); err != nil {
-				return nil, err
-			}
-			if err := view.Delete("a"); err != nil {
-				return nil, err
-			}
-			order := []any{}
-			if err := view.Enumerate(func(k, _ any) (bool, error) {
-				order = append(order, k)
-				return false, nil
-			}); err != nil {
-				return nil, err
-			}
-			if len(order) != 2 {
-				t.Errorf("post-mutation enumeration = %v", order)
-			}
-			return n, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != 2 {
-		t.Errorf("initial Len = %v", res)
-	}
-	// EnumeratePairs on a ubiquitous table with early stop.
-	seen := 0
-	if _, err := u.EnumeratePairs(kvstore.PairConsumerFuncs{
-		ConsumeFn: func(_, _ any) (bool, error) { seen++; return true, nil },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 1 {
-		t.Errorf("early stop saw %d", seen)
-	}
-	// Out-of-scope view from a ubiquitous agent is rejected.
-	if _, err := u.EnumerateParts(kvstore.PartConsumerFuncs{
-		ProcessFn: func(sv kvstore.ShardView) (any, error) {
-			_, err := sv.View("something-else")
-			return nil, err
-		},
-	}); err == nil {
-		t.Error("cross-table view from ubiquitous agent allowed")
 	}
 }
 
@@ -193,15 +46,9 @@ func TestDeleteReplicatedGrid(t *testing.T) {
 	}
 }
 
-func TestAgentOnUbiquitousRejected(t *testing.T) {
+func TestFailPrimaryOnUbiquitousRejected(t *testing.T) {
 	s := newStore(t)
 	_, _ = s.CreateTable("u", kvstore.Ubiquitous())
-	if _, err := s.RunAgent("u", 0, func(kvstore.ShardView) (any, error) { return nil, nil }); err == nil {
-		t.Error("RunAgent on ubiquitous table allowed")
-	}
-	if _, err := s.RunTransaction("u", 0, func(kvstore.ShardView) (any, error) { return nil, nil }); err == nil {
-		t.Error("RunTransaction on ubiquitous table allowed")
-	}
 	if err := s.FailPrimary("u", 0); err == nil {
 		t.Error("FailPrimary on ubiquitous table allowed")
 	}

@@ -11,18 +11,21 @@
 // reported with kvstore.ErrShardFailed, exactly the recovery point the paper
 // outlines: "recover from primary shard failure by deleting writes done by
 // the failed shard(s) and retry".
+//
+// Tables, routing, the marshalling boundary and enumeration live in
+// tablecore; this package is the per-part backend — replicas, failover, the
+// transaction write-set — and the capabilities built on it.
 package gridstore
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ripple/internal/codec"
 	"ripple/internal/kvstore"
+	"ripple/internal/kvstore/tablecore"
 	"ripple/internal/metrics"
 )
 
@@ -38,7 +41,7 @@ type Option func(*Store)
 func WithParts(n int) Option {
 	return func(s *Store) {
 		if n > 0 {
-			s.defaultParts = n
+			s.cfg.DefaultParts = n
 		}
 	}
 }
@@ -54,12 +57,12 @@ func WithReplicas(n int) Option {
 
 // WithMetrics attaches a metrics collector.
 func WithMetrics(m *metrics.Collector) Option {
-	return func(s *Store) { s.metrics = m }
+	return func(s *Store) { s.cfg.Metrics = m }
 }
 
 // WithoutMarshalling disables boundary marshalling (ablation only).
 func WithoutMarshalling() Option {
-	return func(s *Store) { s.marshal = false }
+	return func(s *Store) { s.cfg.Marshal = false }
 }
 
 // WithLatency adds an emulated network latency to every operation that
@@ -67,26 +70,19 @@ func WithoutMarshalling() Option {
 func WithLatency(d time.Duration) Option {
 	return func(s *Store) {
 		if d > 0 {
-			s.latency = d
+			s.cfg.Latency = d
 		}
 	}
 }
 
-// Store is the WXS-like grid store.
+// Store is the WXS-like grid store. Its kvstore.Store methods are the
+// embedded core's; the capabilities below are its own.
 type Store struct {
-	defaultParts int
-	replicas     int
-	marshal      bool
-	latency      time.Duration
-	metrics      *metrics.Collector
+	*tablecore.Core
+	cfg      tablecore.Config // what the options selected; read once, by New
+	replicas int
 
 	failovers atomic.Int64 // primary promotions performed by FailPrimary
-
-	mu     sync.Mutex
-	closed bool
-	tables map[string]*table
-	order  []string
-	nextID int
 }
 
 var (
@@ -97,21 +93,27 @@ var (
 	_ kvstore.FailureSensor = (*Store)(nil)
 )
 
+// New creates a Store.
+func New(opts ...Option) *Store {
+	s := &Store{cfg: tablecore.Config{Name: "gridstore", DefaultParts: 10, Marshal: true}, replicas: 1}
+	for _, o := range opts {
+		o(s)
+	}
+	s.Core = tablecore.New(s.cfg, func(part int) tablecore.Part { return newShard(s, part) })
+	return s
+}
+
 // Failovers reports the monotonic count of primary promotions, implementing
 // kvstore.FailureSensor.
 func (s *Store) Failovers() int64 { return s.failovers.Load() }
 
-// group is a set of consistently partitioned tables sharing shards.
-type group struct {
-	id     string
-	parts  int
-	hasher codec.Hasher
-	shards []*shard
-}
+// Replicas implements kvstore.Replicated.
+func (s *Store) Replicas() int { return s.replicas }
 
 // shard is one replicated partition of a group.
 type shard struct {
-	part int
+	store *Store
+	part  int
 
 	mu       sync.Mutex
 	replicas []*replica
@@ -121,188 +123,88 @@ type shard struct {
 	txMu sync.Mutex // serializes transactions on this shard
 }
 
+var _ tablecore.Part = (*shard)(nil)
+
 // replica holds one copy of the shard's data across the group's tables.
 type replica struct {
 	alive bool
 	data  map[string]map[any]any // table -> items
 }
 
-// table is a gridstore table handle.
-type table struct {
-	store      *Store
-	name       string
-	group      *group
-	ubiquitous bool
-	ordered    bool
-	ubiq       map[any]any
-	ubiqMu     sync.RWMutex
+func newShard(s *Store, part int) *shard {
+	sh := &shard{store: s, part: part}
+	for r := 0; r < s.replicas; r++ {
+		sh.replicas = append(sh.replicas, &replica{alive: true, data: make(map[string]map[any]any)})
+	}
+	return sh
 }
 
-// New creates a Store.
-func New(opts ...Option) *Store {
-	s := &Store{
-		defaultParts: 10,
-		replicas:     1,
-		marshal:      true,
-		tables:       make(map[string]*table),
+// Create implements tablecore.Part.
+func (sh *shard) Create(table string) kvstore.PartView {
+	sh.mu.Lock()
+	for _, r := range sh.replicas {
+		r.data[table] = make(map[any]any)
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+	sh.mu.Unlock()
+	return &partView{shard: sh, table: table}
 }
 
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return "gridstore" }
-
-// DefaultParts implements kvstore.Store.
-func (s *Store) DefaultParts() int { return s.defaultParts }
-
-// Replicas implements kvstore.Replicated.
-func (s *Store) Replicas() int { return s.replicas }
-
-// CreateTable implements kvstore.Store.
-func (s *Store) CreateTable(name string, opts ...kvstore.TableOption) (kvstore.Table, error) {
-	cfg := kvstore.ApplyOptions(s.defaultParts, opts)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, kvstore.ErrClosed
+// Drop implements tablecore.Part.
+func (sh *shard) Drop(table string) {
+	sh.mu.Lock()
+	for _, r := range sh.replicas {
+		delete(r.data, table)
 	}
-	if _, ok := s.tables[name]; ok {
-		return nil, fmt.Errorf("%w: %q", kvstore.ErrTableExists, name)
+	sh.mu.Unlock()
+}
+
+// Client implements tablecore.Part: requests reach a shard on the caller's
+// goroutine.
+func (sh *shard) Client(op func()) error { op(); return nil }
+
+// Run implements tablecore.Part: agents run on the caller's goroutine,
+// against the primary replica.
+func (sh *shard) Run(body func()) error { body(); return nil }
+
+// Stop implements tablecore.Part.
+func (sh *shard) Stop() {}
+
+// primaryLocked returns the primary replica; callers hold sh.mu.
+func (sh *shard) primaryLocked() (*replica, error) {
+	r := sh.replicas[sh.primary]
+	if !r.alive {
+		return nil, fmt.Errorf("gridstore: part %d has no primary: %w", sh.part, kvstore.ErrShardFailed)
 	}
-	var g *group
-	if cfg.ConsistentWith != "" {
-		base, ok := s.tables[cfg.ConsistentWith]
-		if !ok {
-			return nil, fmt.Errorf("%w: consistent-with %q", kvstore.ErrNoTable, cfg.ConsistentWith)
+	return r, nil
+}
+
+// applyLocked writes (or, with deleted set, removes) one pair on every alive
+// replica; callers hold sh.mu.
+func (sh *shard) applyLocked(table string, key any, w txWrite) {
+	for _, r := range sh.replicas {
+		if !r.alive {
+			continue
 		}
-		g = base.group
-	} else {
-		g = s.newGroup(cfg.Parts, cfg.Hasher)
-	}
-	t := &table{
-		store:      s,
-		name:       name,
-		group:      g,
-		ubiquitous: cfg.Ubiquitous,
-		ordered:    cfg.Ordered,
-	}
-	if cfg.Ubiquitous {
-		t.ubiq = make(map[any]any)
-	} else {
-		for _, sh := range g.shards {
-			sh.mu.Lock()
-			for _, r := range sh.replicas {
-				r.data[name] = make(map[any]any)
-			}
-			sh.mu.Unlock()
+		items := r.data[table]
+		if w.deleted {
+			delete(items, key)
+			continue
 		}
-	}
-	s.tables[name] = t
-	s.order = append(s.order, name)
-	return t, nil
-}
-
-func (s *Store) newGroup(parts int, h codec.Hasher) *group {
-	s.nextID++
-	g := &group{
-		id:     fmt.Sprintf("g%d", s.nextID),
-		parts:  parts,
-		hasher: h,
-	}
-	g.shards = make([]*shard, parts)
-	for p := 0; p < parts; p++ {
-		sh := &shard{part: p}
-		for r := 0; r < s.replicas; r++ {
-			sh.replicas = append(sh.replicas, &replica{
-				alive: true,
-				data:  make(map[string]map[any]any),
-			})
+		if items == nil {
+			items = make(map[any]any)
+			r.data[table] = items
 		}
-		g.shards[p] = sh
+		items[key] = w.value
 	}
-	return g
 }
 
-// LookupTable implements kvstore.Store.
-func (s *Store) LookupTable(name string) (kvstore.Table, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[name]
-	if !ok {
-		return nil, false
-	}
-	return t, true
-}
-
-// DropTable implements kvstore.Store.
-func (s *Store) DropTable(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", kvstore.ErrNoTable, name)
-	}
-	delete(s.tables, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	if !t.ubiquitous {
-		for _, sh := range t.group.shards {
-			sh.mu.Lock()
-			for _, r := range sh.replicas {
-				delete(r.data, name)
-			}
-			sh.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-// Tables implements kvstore.Store.
-func (s *Store) Tables() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-func (s *Store) lookup(name string) (*table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, kvstore.ErrClosed
-	}
-	t, ok := s.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", kvstore.ErrNoTable, name)
-	}
-	return t, nil
-}
-
-// RunAgent implements kvstore.Store: the agent runs against the primary
-// replica of the shard, with direct (unmarshalled) local access.
-func (s *Store) RunAgent(tableName string, part int, agent kvstore.Agent) (any, error) {
-	t, err := s.lookup(tableName)
+// shardAt resolves the shard a per-part entry point acts on.
+func (s *Store) shardAt(op, table string, part int) (*tablecore.Group, *shard, error) {
+	g, err := s.LocatePart(op, table, part)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if t.ubiquitous {
-		return nil, fmt.Errorf("gridstore: RunAgent against ubiquitous table %q", tableName)
-	}
-	if err := kvstore.CheckPart(part, t.group.parts); err != nil {
-		return nil, err
-	}
-	sh := t.group.shards[part]
-	sv := &shardView{store: s, group: t.group, shard: sh, tx: nil}
-	return agent(sv)
+	return g, g.Parts[part].(*shard), nil
 }
 
 // RunTransaction implements kvstore.Transactional: the agent's writes across
@@ -310,17 +212,10 @@ func (s *Store) RunAgent(tableName string, part int, agent kvstore.Agent) (any, 
 // shard's primary fails while the transaction is open, the transaction is
 // rolled back and ErrShardFailed returned.
 func (s *Store) RunTransaction(tableName string, part int, agent kvstore.Agent) (any, error) {
-	t, err := s.lookup(tableName)
+	g, sh, err := s.shardAt("RunTransaction", tableName, part)
 	if err != nil {
 		return nil, err
 	}
-	if t.ubiquitous {
-		return nil, fmt.Errorf("gridstore: RunTransaction against ubiquitous table %q", tableName)
-	}
-	if err := kvstore.CheckPart(part, t.group.parts); err != nil {
-		return nil, err
-	}
-	sh := t.group.shards[part]
 
 	sh.txMu.Lock()
 	defer sh.txMu.Unlock()
@@ -334,8 +229,7 @@ func (s *Store) RunTransaction(tableName string, part int, agent kvstore.Agent) 
 	sh.mu.Unlock()
 
 	tx := &txState{writes: make(map[string]map[any]txWrite)}
-	sv := &shardView{store: s, group: t.group, shard: sh, tx: tx}
-	res, err := agent(sv)
+	res, err := agent(&txShardView{store: s, group: g, part: part, tx: tx})
 	if err != nil {
 		return nil, err // write-set discarded: rollback
 	}
@@ -352,21 +246,7 @@ func (s *Store) RunTransaction(tableName string, part int, agent kvstore.Agent) 
 	}
 	for tab, writes := range tx.writes {
 		for key, w := range writes {
-			for _, r := range sh.replicas {
-				if !r.alive {
-					continue
-				}
-				items := r.data[tab]
-				if items == nil {
-					items = make(map[any]any)
-					r.data[tab] = items
-				}
-				if w.deleted {
-					delete(items, key)
-				} else {
-					items[key] = w.value
-				}
-			}
+			sh.applyLocked(tab, key, w)
 		}
 	}
 	return res, nil
@@ -377,17 +257,10 @@ func (s *Store) RunTransaction(tableName string, part int, agent kvstore.Agent) 
 // promoted; with no survivor, ErrNoReplica is returned and the shard becomes
 // unavailable until Heal.
 func (s *Store) FailPrimary(tableName string, part int) error {
-	t, err := s.lookup(tableName)
+	_, sh, err := s.shardAt("FailPrimary", tableName, part)
 	if err != nil {
 		return err
 	}
-	if t.ubiquitous {
-		return fmt.Errorf("gridstore: FailPrimary on ubiquitous table %q", tableName)
-	}
-	if err := kvstore.CheckPart(part, t.group.parts); err != nil {
-		return err
-	}
-	sh := t.group.shards[part]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	prim := sh.replicas[sh.primary]
@@ -395,7 +268,7 @@ func (s *Store) FailPrimary(tableName string, part int) error {
 	prim.data = make(map[string]map[any]any)
 	sh.epoch++
 	s.failovers.Add(1)
-	s.metrics.AddFailovers(1)
+	s.cfg.Metrics.AddFailovers(1)
 	for i, r := range sh.replicas {
 		if r.alive {
 			sh.primary = i
@@ -409,96 +282,45 @@ func (s *Store) FailPrimary(tableName string, part int) error {
 // by copying the current primary's data, returning the group to full
 // replication. Shards with no alive replica are reinitialized empty.
 func (s *Store) Heal(tableName string) error {
-	t, err := s.lookup(tableName)
-	if err != nil {
+	g, ubiquitous, err := s.Locate(tableName)
+	if err != nil || ubiquitous {
 		return err
 	}
-	if t.ubiquitous {
-		return nil
-	}
-	for _, sh := range t.group.shards {
-		sh.mu.Lock()
-		var src *replica
-		for _, r := range sh.replicas {
-			if r.alive {
-				src = r
-				break
-			}
-		}
-		for i, r := range sh.replicas {
-			if r.alive {
-				continue
-			}
-			r.alive = true
-			r.data = make(map[string]map[any]any)
-			if src != nil {
-				for tab, items := range src.data {
-					cp := make(map[any]any, len(items))
-					for k, v := range items {
-						cp[k] = v
-					}
-					r.data[tab] = cp
-				}
-			}
-			if src == nil {
-				sh.primary = i
-				src = r
-			}
-		}
-		sh.mu.Unlock()
+	for _, part := range g.Parts {
+		part.(*shard).heal()
 	}
 	return nil
 }
 
-// Close implements kvstore.Store.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
-}
-
-// primaryLocked returns the primary replica; callers hold sh.mu.
-func (sh *shard) primaryLocked() (*replica, error) {
-	r := sh.replicas[sh.primary]
-	if !r.alive {
-		return nil, fmt.Errorf("gridstore: part %d has no primary: %w", sh.part, kvstore.ErrShardFailed)
-	}
-	return r, nil
-}
-
-// roundTrip emulates moving v across a partition boundary. A pre-encoded
-// value (codec.Encoded) pays only the decode half — the sender already
-// marshalled it once and shared the bytes — and is unwrapped even with
-// marshalling disabled, so callers never see the wrapper.
-func (s *Store) roundTrip(v any) (any, error) {
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
-	if enc, ok := v.(codec.Encoded); ok {
-		if s.marshal {
-			s.metrics.AddMarshalledBytes(int64(enc.Size()))
+func (sh *shard) heal() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var src *replica
+	for _, r := range sh.replicas {
+		if r.alive {
+			src = r
+			break
 		}
-		return enc.Decode()
 	}
-	if !s.marshal {
-		return v, nil
+	for i, r := range sh.replicas {
+		if r.alive {
+			continue
+		}
+		r.alive = true
+		r.data = make(map[string]map[any]any)
+		if src == nil {
+			sh.primary = i
+			src = r
+			continue
+		}
+		for tab, items := range src.data {
+			cp := make(map[any]any, len(items))
+			for k, v := range items {
+				cp[k] = v
+			}
+			r.data[tab] = cp
+		}
 	}
-	out, n, err := codec.RoundTrip(v)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.AddMarshalledBytes(int64(n))
-	return out, nil
-}
-
-func sortedKeys(items map[any]any) []any {
-	keys := make([]any, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return codec.CompareKeys(keys[i], keys[j]) < 0 })
-	return keys
 }
 
 // txState buffers a transaction's writes until commit.
@@ -511,29 +333,148 @@ type txWrite struct {
 	deleted bool
 }
 
-func (tx *txState) set(table string, key, value any) {
+func (tx *txState) set(table string, key any, w txWrite) {
 	m := tx.writes[table]
 	if m == nil {
 		m = make(map[any]txWrite)
 		tx.writes[table] = m
 	}
-	m[key] = txWrite{value: value}
+	m[key] = w
 }
 
-func (tx *txState) del(table string, key any) {
-	m := tx.writes[table]
-	if m == nil {
-		m = make(map[any]txWrite)
-		tx.writes[table] = m
-	}
-	m[key] = txWrite{deleted: true}
+// txShardView is a transaction's window onto its shard: the core resolves
+// the name, and the local view it finds is rebound to the write-set.
+type txShardView struct {
+	store *Store
+	group *tablecore.Group
+	part  int
+	tx    *txState
 }
 
-func (tx *txState) get(table string, key any) (txWrite, bool) {
-	m := tx.writes[table]
-	if m == nil {
-		return txWrite{}, false
+func (sv *txShardView) Part() int { return sv.part }
+
+func (sv *txShardView) View(name string) (kvstore.PartView, error) {
+	view, err := sv.store.ViewAt(sv.group, sv.part, name)
+	if local, ok := view.(*partView); ok {
+		return &partView{shard: local.shard, table: local.table, tx: sv.tx}, nil
 	}
-	w, ok := m[key]
-	return w, ok
+	return view, err // a ubiquitous replica: not transactional
+}
+
+// partView gives local access to one part of one table, read-through and
+// write-buffered when inside a transaction.
+type partView struct {
+	shard *shard
+	table string
+	tx    *txState // nil outside transactions
+}
+
+var _ kvstore.PartView = (*partView)(nil)
+
+// Table implements kvstore.PartView.
+func (pv *partView) Table() string { return pv.table }
+
+// Part implements kvstore.PartView.
+func (pv *partView) Part() int { return pv.shard.part }
+
+// Get implements kvstore.PartView.
+func (pv *partView) Get(key any) (any, bool, error) {
+	pv.shard.store.cfg.Metrics.AddStoreGets(1)
+	if pv.tx != nil {
+		if w, ok := pv.tx.writes[pv.table][key]; ok {
+			return w.value, !w.deleted, nil
+		}
+	}
+	pv.shard.mu.Lock()
+	defer pv.shard.mu.Unlock()
+	prim, err := pv.shard.primaryLocked()
+	if err != nil {
+		return nil, false, err
+	}
+	v, ok := prim.data[pv.table][key]
+	return v, ok, nil
+}
+
+// Put implements kvstore.PartView: outside a transaction the write is applied
+// synchronously to every alive replica.
+func (pv *partView) Put(key, value any) error {
+	pv.shard.store.cfg.Metrics.AddStorePuts(1)
+	return pv.write(key, txWrite{value: value})
+}
+
+// Delete implements kvstore.PartView.
+func (pv *partView) Delete(key any) error {
+	pv.shard.store.cfg.Metrics.AddStoreDeletes(1)
+	return pv.write(key, txWrite{deleted: true})
+}
+
+func (pv *partView) write(key any, w txWrite) error {
+	if pv.tx != nil {
+		pv.tx.set(pv.table, key, w)
+		return nil
+	}
+	pv.shard.mu.Lock()
+	defer pv.shard.mu.Unlock()
+	if _, err := pv.shard.primaryLocked(); err != nil {
+		return err
+	}
+	pv.shard.applyLocked(pv.table, key, w)
+	return nil
+}
+
+// merged is the primary's keys for this table with the uncommitted write-set
+// laid over them.
+func (pv *partView) merged() (map[any]struct{}, error) {
+	pv.shard.mu.Lock()
+	prim, err := pv.shard.primaryLocked()
+	if err != nil {
+		pv.shard.mu.Unlock()
+		return nil, err
+	}
+	items := prim.data[pv.table]
+	keys := make(map[any]struct{}, len(items))
+	for k := range items {
+		keys[k] = struct{}{}
+	}
+	pv.shard.mu.Unlock()
+	if pv.tx != nil {
+		for key, w := range pv.tx.writes[pv.table] {
+			if w.deleted {
+				delete(keys, key)
+			} else {
+				keys[key] = struct{}{}
+			}
+		}
+	}
+	return keys, nil
+}
+
+// Len implements kvstore.PartView. Inside a transaction it accounts for the
+// uncommitted write-set.
+func (pv *partView) Len() (int, error) {
+	if pv.tx != nil {
+		keys, err := pv.merged()
+		return len(keys), err
+	}
+	pv.shard.mu.Lock()
+	defer pv.shard.mu.Unlock()
+	prim, err := pv.shard.primaryLocked()
+	if err != nil {
+		return 0, err
+	}
+	return len(prim.data[pv.table]), nil
+}
+
+// Enumerate implements kvstore.PartView.
+func (pv *partView) Enumerate(fn kvstore.PairFunc) error { return pv.enumerate(false, fn) }
+
+// EnumerateOrdered implements kvstore.PartView.
+func (pv *partView) EnumerateOrdered(fn kvstore.PairFunc) error { return pv.enumerate(true, fn) }
+
+func (pv *partView) enumerate(ordered bool, fn kvstore.PairFunc) error {
+	keys, err := pv.merged()
+	if err != nil {
+		return err
+	}
+	return tablecore.Visit(tablecore.Keys(keys, ordered), pv.Get, fn)
 }

@@ -338,30 +338,6 @@ func TestEnumeratePartsParallelAndCombined(t *testing.T) {
 	}
 }
 
-func TestUbiquitousTableGridstore(t *testing.T) {
-	s := newStore(t)
-	u, err := s.CreateTable("u", kvstore.Ubiquitous())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = u.Put("b", 7)
-	_, _ = s.CreateTable("d", kvstore.WithParts(2))
-	_, err = s.RunAgent("d", 1, func(sv kvstore.ShardView) (any, error) {
-		view, err := sv.View("u")
-		if err != nil {
-			return nil, err
-		}
-		v, ok, err := view.Get("b")
-		if err != nil || !ok || v != 7 {
-			t.Errorf("ubiquitous read = %v %v %v", v, ok, err)
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGridSizeAndDrop(t *testing.T) {
 	s := newStore(t, WithParts(3))
 	tab, _ := s.CreateTable("t")
@@ -376,17 +352,5 @@ func TestGridSizeAndDrop(t *testing.T) {
 	}
 	if _, ok := s.LookupTable("t"); ok {
 		t.Error("table visible after drop")
-	}
-}
-
-func TestMarshallingIsolationGrid(t *testing.T) {
-	s := newStore(t)
-	tab, _ := s.CreateTable("t")
-	val := []int{1, 2, 3}
-	_ = tab.Put("k", val)
-	val[0] = 99
-	got, _, _ := tab.Get("k")
-	if got.([]int)[0] != 1 {
-		t.Error("store shares memory with caller")
 	}
 }

@@ -2,31 +2,9 @@ package memstore
 
 import (
 	"testing"
-	"time"
 
 	"ripple/internal/kvstore"
 )
-
-func TestStoreIdentityMem(t *testing.T) {
-	s := newStore(t, WithParts(3), WithLatency(time.Microsecond))
-	if s.Name() != "memstore" {
-		t.Errorf("Name = %q", s.Name())
-	}
-	if s.DefaultParts() != 3 {
-		t.Errorf("DefaultParts = %d", s.DefaultParts())
-	}
-	tab, _ := s.CreateTable("t")
-	if tab.Parts() != 3 {
-		t.Errorf("Parts = %d", tab.Parts())
-	}
-	// The latency option must not break correctness.
-	if err := tab.Put(1, "v"); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := tab.Get(1); !ok || v != "v" {
-		t.Errorf("Get = %v, %v", v, ok)
-	}
-}
 
 func TestUbiquitousPartViewMutationsMem(t *testing.T) {
 	s := newStore(t)
@@ -100,13 +78,5 @@ func TestUbiquitousDeleteAndSizeMem(t *testing.T) {
 	}
 	if err := s.DropTable("u"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunAgentOnUbiquitousRejectedMem(t *testing.T) {
-	s := newStore(t)
-	_, _ = s.CreateTable("u", kvstore.Ubiquitous())
-	if _, err := s.RunAgent("u", 0, func(kvstore.ShardView) (any, error) { return nil, nil }); err == nil {
-		t.Error("RunAgent on ubiquitous table allowed")
 	}
 }

@@ -9,16 +9,19 @@
 // un-marshalling through the codec; local operations (an agent touching its
 // own part) do not. This reproduces both the isolation and the relative cost
 // structure of a real distributed store.
+//
+// Tables, routing, the marshalling boundary and enumeration live in
+// tablecore; this package is the per-part backend: one map per table behind
+// the goroutine pair.
 package memstore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"ripple/internal/codec"
 	"ripple/internal/kvstore"
+	"ripple/internal/kvstore/tablecore"
 	"ripple/internal/metrics"
 )
 
@@ -30,21 +33,21 @@ type Option func(*Store)
 func WithParts(n int) Option {
 	return func(s *Store) {
 		if n > 0 {
-			s.defaultParts = n
+			s.cfg.DefaultParts = n
 		}
 	}
 }
 
 // WithMetrics attaches a metrics collector.
 func WithMetrics(m *metrics.Collector) Option {
-	return func(s *Store) { s.metrics = m }
+	return func(s *Store) { s.cfg.Metrics = m }
 }
 
 // WithoutMarshalling disables cross-partition marshalling. This removes the
 // emulated network cost (and the isolation it provides); it exists for
 // ablation benchmarks only.
 func WithoutMarshalling() Option {
-	return func(s *Store) { s.marshal = false }
+	return func(s *Store) { s.cfg.Marshal = false }
 }
 
 // WithLatency adds an emulated network latency to every operation that
@@ -54,44 +57,38 @@ func WithoutMarshalling() Option {
 func WithLatency(d time.Duration) Option {
 	return func(s *Store) {
 		if d > 0 {
-			s.latency = d
+			s.cfg.Latency = d
 		}
 	}
 }
 
-// Store is the parallel debugging store.
+// Store is the parallel debugging store. Its kvstore.Store methods are the
+// embedded core's.
 type Store struct {
-	defaultParts int
-	marshal      bool
-	latency      time.Duration
-	metrics      *metrics.Collector
-
-	mu     sync.Mutex
-	closed bool
-	tables map[string]*table
-	order  []string
-	groups map[string]*group // partition groups, by group id
-	nextID int
+	*tablecore.Core
+	cfg tablecore.Config // what the options selected; read once, by New
 }
 
 var _ kvstore.Store = (*Store)(nil)
 
-// group is a set of consistently partitioned tables served by shared
-// partition goroutines.
-type group struct {
-	id     string
-	parts  int
-	hasher codec.Hasher
-	shards []*shard
+// New creates a Store.
+func New(opts ...Option) *Store {
+	s := &Store{cfg: tablecore.Config{Name: "memstore", DefaultParts: 6, Marshal: true}}
+	for _, o := range opts {
+		o(s)
+	}
+	s.Core = tablecore.New(s.cfg, func(part int) tablecore.Part { return newShard(part, s.cfg.Metrics) })
+	return s
 }
 
 // shard is one partition of one group: its data (across all of the group's
 // tables) and the two service goroutines.
 type shard struct {
-	part int
+	part    int
+	metrics *metrics.Collector
 
 	mu   sync.Mutex
-	data map[string]*partData // table name -> pairs
+	data map[string]map[any]any // table name -> pairs
 
 	ops  chan func() // short request-response operations
 	long chan func() // long-running requests, served one at a time
@@ -99,99 +96,21 @@ type shard struct {
 	wg   sync.WaitGroup
 }
 
-type partData struct {
-	items   map[any]any
-	ordered bool
-}
+var _ tablecore.Part = (*shard)(nil)
 
-// New creates a Store.
-func New(opts ...Option) *Store {
-	s := &Store{
-		defaultParts: 6,
-		marshal:      true,
-		tables:       make(map[string]*table),
-		groups:       make(map[string]*group),
+func newShard(part int, m *metrics.Collector) *shard {
+	sh := &shard{
+		part:    part,
+		metrics: m,
+		data:    make(map[string]map[any]any),
+		ops:     make(chan func()),
+		long:    make(chan func()),
+		done:    make(chan struct{}),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
-
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return "memstore" }
-
-// DefaultParts implements kvstore.Store.
-func (s *Store) DefaultParts() int { return s.defaultParts }
-
-// CreateTable implements kvstore.Store.
-func (s *Store) CreateTable(name string, opts ...kvstore.TableOption) (kvstore.Table, error) {
-	cfg := kvstore.ApplyOptions(s.defaultParts, opts)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, kvstore.ErrClosed
-	}
-	if _, ok := s.tables[name]; ok {
-		return nil, fmt.Errorf("%w: %q", kvstore.ErrTableExists, name)
-	}
-
-	var g *group
-	if cfg.ConsistentWith != "" {
-		base, ok := s.tables[cfg.ConsistentWith]
-		if !ok {
-			return nil, fmt.Errorf("%w: consistent-with %q", kvstore.ErrNoTable, cfg.ConsistentWith)
-		}
-		g = base.group
-	} else {
-		g = s.newGroup(cfg.Parts, cfg.Hasher)
-	}
-
-	t := &table{
-		store:      s,
-		name:       name,
-		group:      g,
-		ubiquitous: cfg.Ubiquitous,
-		ordered:    cfg.Ordered,
-	}
-	if cfg.Ubiquitous {
-		t.ubiq = &ubiqData{items: make(map[any]any)}
-	} else {
-		for _, sh := range g.shards {
-			sh.mu.Lock()
-			sh.data[name] = &partData{items: make(map[any]any), ordered: cfg.Ordered}
-			sh.mu.Unlock()
-		}
-	}
-	s.tables[name] = t
-	s.order = append(s.order, name)
-	return t, nil
-}
-
-func (s *Store) newGroup(parts int, h codec.Hasher) *group {
-	s.nextID++
-	g := &group{
-		id:     fmt.Sprintf("g%d", s.nextID),
-		parts:  parts,
-		hasher: h,
-	}
-	g.shards = make([]*shard, parts)
-	for p := 0; p < parts; p++ {
-		sh := &shard{
-			part: p,
-			data: make(map[string]*partData),
-			ops:  make(chan func()),
-			long: make(chan func()),
-			done: make(chan struct{}),
-		}
-		sh.wg.Add(2)
-		go sh.serve(sh.ops)  // short request-response operations
-		go sh.serve(sh.long) // long-running requests, one at a time
-		g.shards[p] = sh
-	}
-	s.groups[g.id] = g
-	return g
+	sh.wg.Add(2)
+	go sh.serve(sh.ops)
+	go sh.serve(sh.long)
+	return sh
 }
 
 func (sh *shard) serve(ch chan func()) {
@@ -230,144 +149,123 @@ func (sh *shard) dispatch(ch chan func(), fn func()) error {
 	return nil
 }
 
-// LookupTable implements kvstore.Store.
-func (s *Store) LookupTable(name string) (kvstore.Table, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[name]
-	if !ok {
-		return nil, false
-	}
-	return t, true
+// Create implements tablecore.Part.
+func (sh *shard) Create(table string) kvstore.PartView {
+	sh.mu.Lock()
+	sh.data[table] = make(map[any]any)
+	sh.mu.Unlock()
+	return &partView{shard: sh, table: table}
 }
 
-// DropTable implements kvstore.Store.
-func (s *Store) DropTable(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", kvstore.ErrNoTable, name)
+// Drop implements tablecore.Part.
+func (sh *shard) Drop(table string) {
+	sh.mu.Lock()
+	delete(sh.data, table)
+	sh.mu.Unlock()
+}
+
+// Client implements tablecore.Part: the request-response goroutine.
+func (sh *shard) Client(op func()) error { return sh.dispatch(sh.ops, op) }
+
+// Run implements tablecore.Part: the long-request goroutine.
+func (sh *shard) Run(body func()) error { return sh.dispatch(sh.long, body) }
+
+// Stop implements tablecore.Part.
+func (sh *shard) Stop() {
+	close(sh.done)
+	sh.wg.Wait()
+}
+
+// partView gives local (unmarshalled) access to one part of one table.
+type partView struct {
+	shard *shard
+	table string
+}
+
+var _ kvstore.PartView = (*partView)(nil)
+
+// Table implements kvstore.PartView.
+func (pv *partView) Table() string { return pv.table }
+
+// Part implements kvstore.PartView.
+func (pv *partView) Part() int { return pv.shard.part }
+
+// items returns the part's pairs; callers hold shard.mu.
+func (pv *partView) items() (map[any]any, error) {
+	items := pv.shard.data[pv.table]
+	if items == nil {
+		return nil, fmt.Errorf("%w: %q", kvstore.ErrNoTable, pv.table)
 	}
-	delete(s.tables, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
+	return items, nil
+}
+
+// Get implements kvstore.PartView: local access, no marshalling.
+func (pv *partView) Get(key any) (any, bool, error) {
+	pv.shard.metrics.AddStoreGets(1)
+	return pv.peek(key)
+}
+
+// peek is Get without the operation count, for enumeration.
+func (pv *partView) peek(key any) (any, bool, error) {
+	pv.shard.mu.Lock()
+	defer pv.shard.mu.Unlock()
+	items, err := pv.items()
+	if err != nil {
+		return nil, false, err
 	}
-	if !t.ubiquitous {
-		for _, sh := range t.group.shards {
-			sh.mu.Lock()
-			delete(sh.data, name)
-			sh.mu.Unlock()
-		}
+	v, ok := items[key]
+	return v, ok, nil
+}
+
+// Put implements kvstore.PartView.
+func (pv *partView) Put(key, value any) error {
+	pv.shard.metrics.AddStorePuts(1)
+	pv.shard.mu.Lock()
+	defer pv.shard.mu.Unlock()
+	items, err := pv.items()
+	if err != nil {
+		return err
 	}
+	items[key] = value
 	return nil
 }
 
-// Tables implements kvstore.Store.
-func (s *Store) Tables() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// RunAgent implements kvstore.Store: it executes the agent on the long-request
-// goroutine of the named table's part, with unmarshalled local access.
-func (s *Store) RunAgent(tableName string, part int, agent kvstore.Agent) (any, error) {
-	s.mu.Lock()
-	t, ok := s.tables[tableName]
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, kvstore.ErrClosed
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", kvstore.ErrNoTable, tableName)
-	}
-	if t.ubiquitous {
-		return nil, fmt.Errorf("memstore: RunAgent against ubiquitous table %q", tableName)
-	}
-	if err := kvstore.CheckPart(part, t.group.parts); err != nil {
-		return nil, err
-	}
-	sh := t.group.shards[part]
-	var (
-		res    any
-		runErr error
-	)
-	err := sh.dispatch(sh.long, func() {
-		sv := &shardView{store: s, group: t.group, shard: sh}
-		res, runErr = agent(sv)
-	})
+// Delete implements kvstore.PartView.
+func (pv *partView) Delete(key any) error {
+	pv.shard.metrics.AddStoreDeletes(1)
+	pv.shard.mu.Lock()
+	defer pv.shard.mu.Unlock()
+	items, err := pv.items()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return res, runErr
-}
-
-// Close implements kvstore.Store.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	groups := make([]*group, 0, len(s.groups))
-	for _, g := range s.groups {
-		groups = append(groups, g)
-	}
-	s.mu.Unlock()
-	for _, g := range groups {
-		for _, sh := range g.shards {
-			close(sh.done)
-		}
-	}
-	for _, g := range groups {
-		for _, sh := range g.shards {
-			sh.wg.Wait()
-		}
-	}
+	delete(items, key)
 	return nil
 }
 
-// roundTrip emulates moving v across a partition boundary. A pre-encoded
-// value (codec.Encoded) pays only the decode half — the sender already
-// marshalled it once and shared the bytes — and is unwrapped even with
-// marshalling disabled, so callers never see the wrapper.
-func (s *Store) roundTrip(v any) (any, error) {
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
-	if enc, ok := v.(codec.Encoded); ok {
-		if s.metrics != nil && s.marshal {
-			s.metrics.AddMarshalledBytes(int64(enc.Size()))
-		}
-		return enc.Decode()
-	}
-	if !s.marshal {
-		return v, nil
-	}
-	out, n, err := codec.RoundTrip(v)
-	if err != nil {
-		return nil, err
-	}
-	if s.metrics != nil {
-		s.metrics.AddMarshalledBytes(int64(n))
-	}
-	return out, nil
+// Len implements kvstore.PartView.
+func (pv *partView) Len() (int, error) {
+	pv.shard.mu.Lock()
+	defer pv.shard.mu.Unlock()
+	items, err := pv.items()
+	return len(items), err
 }
 
-// sortedKeys returns the part's keys in codec.CompareKeys order.
-func sortedKeys(items map[any]any) []any {
-	keys := make([]any, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
+// Enumerate implements kvstore.PartView.
+func (pv *partView) Enumerate(fn kvstore.PairFunc) error { return pv.enumerate(false, fn) }
+
+// EnumerateOrdered implements kvstore.PartView.
+func (pv *partView) EnumerateOrdered(fn kvstore.PairFunc) error { return pv.enumerate(true, fn) }
+
+// enumerate snapshots the keys under the lock, then visits pairs without it
+// so the callback may freely Put/Delete on this same view.
+func (pv *partView) enumerate(ordered bool, fn kvstore.PairFunc) error {
+	pv.shard.mu.Lock()
+	items, err := pv.items()
+	keys := tablecore.Keys(items, ordered)
+	pv.shard.mu.Unlock()
+	if err != nil {
+		return err
 	}
-	sort.Slice(keys, func(i, j int) bool { return codec.CompareKeys(keys[i], keys[j]) < 0 })
-	return keys
+	return tablecore.Visit(keys, pv.peek, fn)
 }

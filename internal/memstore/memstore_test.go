@@ -2,7 +2,6 @@ package memstore
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -125,28 +124,6 @@ func TestSize(t *testing.T) {
 	_ = tab.Delete(7)
 	if n, _ := tab.Size(); n != 99 {
 		t.Errorf("Size after delete = %d", n)
-	}
-}
-
-func TestMarshallingIsolation(t *testing.T) {
-	s := newStore(t)
-	tab, _ := s.CreateTable("t")
-	orig := record{N: 1, Label: "a", Data: []int{1, 2, 3}}
-	if err := tab.Put("k", orig); err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the caller's copy must not affect the stored value.
-	orig.Data[0] = 999
-	v, _, _ := tab.Get("k")
-	got := v.(record)
-	if got.Data[0] != 1 {
-		t.Error("store shares memory with writer")
-	}
-	// Mutating a returned value must not affect the stored value.
-	got.Data[1] = 888
-	v2, _, _ := tab.Get("k")
-	if v2.(record).Data[1] != 2 {
-		t.Error("store shares memory with reader")
 	}
 }
 
@@ -320,100 +297,6 @@ func TestAgentLocalWritesVisible(t *testing.T) {
 	}
 }
 
-func TestEnumeratePairsVisitsAll(t *testing.T) {
-	s := newStore(t)
-	tab, _ := s.CreateTable("t", kvstore.WithParts(5))
-	want := map[int]string{}
-	for i := 0; i < 200; i++ {
-		want[i] = fmt.Sprintf("v%d", i)
-		if err := tab.Put(i, want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var mu sync.Mutex
-	got := map[int]string{}
-	_, err := tab.EnumeratePairs(kvstore.PairConsumerFuncs{
-		ConsumeFn: func(k, v any) (bool, error) {
-			mu.Lock()
-			got[k.(int)] = v.(string)
-			mu.Unlock()
-			return false, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("visited %d pairs, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("pair %d = %q, want %q", k, got[k], v)
-		}
-	}
-}
-
-func TestEnumeratePairsEarlyStop(t *testing.T) {
-	s := newStore(t)
-	tab, _ := s.CreateTable("t", kvstore.WithParts(1))
-	for i := 0; i < 100; i++ {
-		_ = tab.Put(i, i)
-	}
-	seen := 0
-	_, err := tab.EnumeratePairs(kvstore.PairConsumerFuncs{
-		ConsumeFn: func(k, v any) (bool, error) {
-			seen++
-			return seen >= 10, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 10 {
-		t.Errorf("early stop saw %d, want 10", seen)
-	}
-}
-
-func TestEnumeratePairsSetupFinishCombine(t *testing.T) {
-	s := newStore(t)
-	tab, _ := s.CreateTable("t", kvstore.WithParts(3))
-	for i := 0; i < 60; i++ {
-		_ = tab.Put(i, 1)
-	}
-	var mu sync.Mutex
-	perPart := map[int]int{}
-	setups := map[int]bool{}
-	res, err := tab.EnumeratePairs(kvstore.PairConsumerFuncs{
-		SetupFn: func(p int) error {
-			mu.Lock()
-			setups[p] = true
-			mu.Unlock()
-			return nil
-		},
-		ConsumeFn: func(k, v any) (bool, error) {
-			mu.Lock()
-			perPart[tab.PartOf(k)]++
-			mu.Unlock()
-			return false, nil
-		},
-		FinishFn: func(p int) (any, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return perPart[p], nil
-		},
-		CombineFn: func(a, b any) (any, error) { return a.(int) + b.(int), nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(setups) != 3 {
-		t.Errorf("setup called for %d parts, want 3", len(setups))
-	}
-	if res.(int) != 60 {
-		t.Errorf("combined count = %v, want 60", res)
-	}
-}
-
 func TestEnumeratePartsCombineOrder(t *testing.T) {
 	s := newStore(t)
 	tab, _ := s.CreateTable("t", kvstore.WithParts(4))
@@ -433,71 +316,6 @@ func TestEnumeratePartsCombineOrder(t *testing.T) {
 		if p != i {
 			t.Fatalf("combine order %v, want parts in order", got)
 		}
-	}
-}
-
-func TestOrderedEnumeration(t *testing.T) {
-	s := newStore(t)
-	tab, _ := s.CreateTable("t", kvstore.WithParts(2), kvstore.Ordered())
-	for _, k := range []int{5, 3, 9, 1, 7, 2, 8} {
-		_ = tab.Put(k, k)
-	}
-	for p := 0; p < 2; p++ {
-		_, err := s.RunAgent("t", p, func(sv kvstore.ShardView) (any, error) {
-			view, _ := sv.View("t")
-			prev := -1
-			return nil, view.EnumerateOrdered(func(k, v any) (bool, error) {
-				if k.(int) <= prev {
-					t.Errorf("part %d out of order: %d after %d", p, k, prev)
-				}
-				prev = k.(int)
-				return false, nil
-			})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestUbiquitousTable(t *testing.T) {
-	s := newStore(t)
-	tab, err := s.CreateTable("u", kvstore.Ubiquitous())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tab.Ubiquitous() || tab.Parts() != 1 {
-		t.Errorf("Ubiquitous=%v Parts=%d", tab.Ubiquitous(), tab.Parts())
-	}
-	if err := tab.Put("cfg", 42); err != nil {
-		t.Fatal(err)
-	}
-	// Readable from an agent on any part of any other table.
-	other, _ := s.CreateTable("data", kvstore.WithParts(3))
-	_ = other
-	for p := 0; p < 3; p++ {
-		_, err := s.RunAgent("data", p, func(sv kvstore.ShardView) (any, error) {
-			view, err := sv.View("u")
-			if err != nil {
-				return nil, err
-			}
-			v, ok, err := view.Get("cfg")
-			if err != nil || !ok || v != 42 {
-				t.Errorf("part %d ubiquitous read = %v, %v, %v", p, v, ok, err)
-			}
-			return nil, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Enumeration over a ubiquitous table works too.
-	n := 0
-	_, err = tab.EnumeratePairs(kvstore.PairConsumerFuncs{
-		ConsumeFn: func(k, v any) (bool, error) { n++; return false, nil },
-	})
-	if err != nil || n != 1 {
-		t.Errorf("ubiquitous enumerate n=%d err=%v", n, err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"ripple/internal/codec"
 	"ripple/internal/kvstore"
+	"ripple/internal/kvstore/tablecore"
 )
 
 // encKey encodes a key for the wire.
@@ -132,32 +133,10 @@ func (t *netTable) EnumerateParts(pc kvstore.PartConsumer) (any, error) {
 		sv := &netShardView{c: t.c, anchor: t.name, meta: t.meta, part: 0}
 		return sv.run(pc.ProcessPart)
 	}
-	results := make([]any, t.meta.parts)
-	errs := make([]error, t.meta.parts)
-	var wg sync.WaitGroup
-	for p := 0; p < t.meta.parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sv := &netShardView{c: t.c, anchor: t.name, meta: t.meta, part: p}
-			results[p], errs[p] = sv.run(pc.ProcessPart)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	combined := results[0]
-	var err error
-	for p := 1; p < len(results); p++ {
-		combined, err = pc.Combine(combined, results[p])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return combined, nil
+	return tablecore.ForEachPart(t.meta.parts, pc.Combine, func(p int) (any, error) {
+		sv := &netShardView{c: t.c, anchor: t.name, meta: t.meta, part: p}
+		return sv.run(pc.ProcessPart)
+	})
 }
 
 // EnumeratePairs implements kvstore.Table.
@@ -181,38 +160,8 @@ func (t *netTable) EnumeratePairs(pc kvstore.PairConsumer) (any, error) {
 		}
 		return pc.FinishPart(0)
 	}
-	return t.EnumerateParts(netPairAdapter{t: t, pc: pc})
+	return t.EnumerateParts(tablecore.PairsByPart(t.name, t.meta.ordered, pc))
 }
-
-// netPairAdapter runs a PairConsumer over one part as a PartConsumer.
-type netPairAdapter struct {
-	t  *netTable
-	pc kvstore.PairConsumer
-}
-
-var _ kvstore.PartConsumer = netPairAdapter{}
-
-func (a netPairAdapter) ProcessPart(sv kvstore.ShardView) (any, error) {
-	view, err := sv.View(a.t.name)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.pc.SetupPart(sv.Part()); err != nil {
-		return nil, err
-	}
-	enumerate := view.Enumerate
-	if a.t.meta.ordered {
-		enumerate = view.EnumerateOrdered
-	}
-	if err := enumerate(func(k, v any) (bool, error) {
-		return a.pc.ConsumePair(k, v)
-	}); err != nil {
-		return nil, err
-	}
-	return a.pc.FinishPart(sv.Part())
-}
-
-func (a netPairAdapter) Combine(x, y any) (any, error) { return a.pc.Combine(x, y) }
 
 // decodedPair is one snapshot entry decoded back to Go values.
 type decodedPair struct {
