@@ -8,7 +8,7 @@ GO ?= go
 # Widen it for longer campaigns, e.g. `make soak SOAK_SEEDS=1,2,3,4,5,6,7,8`.
 SOAK_SEEDS ?= 1,2,3
 
-.PHONY: ci vet lint build test race bench codec-bench soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke
+.PHONY: ci vet lint build test race loc codec-bench soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke
 
 ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke codec-bench
 
@@ -33,16 +33,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmarks, then a dated BENCH_<yyyymmdd>.json snapshot (ns/op + engine
-# counters for one representative workload per experiment family) at the
-# repo root.
-bench:
-	$(GO) test -bench . -benchtime 1x -run xxx .
-	RIPPLE_BENCH_SNAPSHOT=1 $(GO) test -count=1 -run TestBenchSnapshot -v .
+# Non-test Go code lines per package of the root module. Refactor PRs quote
+# the total before and after.
+loc:
+	@sh scripts/loc.sh
 
 # Codec/data-plane microbenchmarks. In ci it runs as a build-only smoke
-# (-benchtime 1x): regressions are tracked via the dated bench snapshot's
-# marshalled_bytes/ns_per_op trajectory, not gated on wall-clock here.
+# (-benchtime 1x), not gated on wall-clock here.
 codec-bench:
 	$(GO) test -bench 'BenchmarkEncodeDecode|BenchmarkDeepCopy|BenchmarkEncodedSize' \
 		-benchtime 1x -benchmem -run xxx ./internal/codec/

@@ -169,15 +169,16 @@ func (inj *Injector) agentFault(target kvstore.Store, name string, part int) err
 // step's parts in parallel — fire it once, not once each. A kill whose table
 // does not exist yet is un-claimed and stays armed for a later dispatch.
 func (inj *Injector) fireKills(target kvstore.Store) {
-	rep, ok := target.(kvstore.Replicated)
+	rep, replicated := target.(kvstore.Replicated)
 	inj.mu.Lock()
 	inj.dispatches++
-	d := inj.dispatches
 	var due []int
-	for i, k := range inj.sched.Kills {
-		if ok && !inj.killFired[i] && k.AfterDispatches < d {
-			inj.killFired[i] = true
-			due = append(due, i)
+	if replicated {
+		for i, k := range inj.sched.Kills {
+			if !inj.killFired[i] && k.AfterDispatches < inj.dispatches {
+				inj.killFired[i] = true
+				due = append(due, i)
+			}
 		}
 	}
 	inj.mu.Unlock()

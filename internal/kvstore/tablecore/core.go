@@ -173,7 +173,9 @@ func (c *Core) DropTable(name string) error {
 func (c *Core) Tables() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
+	out := make([]string, len(c.order))
+	copy(out, c.order)
+	return out
 }
 
 // Close implements kvstore.Store.
