@@ -2,9 +2,12 @@ package diskstore
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"testing"
 
 	"ripple/internal/kvstore"
+	"ripple/internal/metrics"
 )
 
 func newStore(t *testing.T, opts ...Option) *Store {
@@ -310,6 +313,119 @@ func TestCompactMissingTable(t *testing.T) {
 	s := newStore(t)
 	if err := s.Compact("nope"); !errors.Is(err, kvstore.ErrNoTable) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestUbiquitousTableSurvivesReopen pins that a ubiquitous table is as
+// durable as a partitioned one: its pairs come back after a clean close.
+func TestUbiquitousTableSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := s.CreateTable("u", kvstore.Ubiquitous())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := u.Put(i, fmt.Sprintf("cfg-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := u.Delete(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	u2, err := s2.CreateTable("u", kvstore.Ubiquitous())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		v, ok, err := u2.Get(i)
+		switch {
+		case err != nil:
+			t.Fatalf("Get(%d): %v", i, err)
+		case i == 3 && ok:
+			t.Errorf("deleted key 3 resurrected as %v", v)
+		case i != 3 && (!ok || v != fmt.Sprintf("cfg-%d", i)):
+			t.Errorf("Get(%d) = %v, %v after reopen", i, v, ok)
+		}
+	}
+	if n, err := u2.Size(); err != nil || n != 19 {
+		t.Errorf("Size after reopen = %d, %v, want 19", n, err)
+	}
+}
+
+// TestFailedCreateClosesOpenedParts corrupts a manifest-listed run of part 1
+// and reopens: CreateTable must fail, and the part it had already opened must
+// be closed again — out of the LSM gauges — with none of its files deleted.
+func TestFailedCreateClosesOpenedParts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(dir, WithMemtableBudget(2*minMemtable))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := s.CreateTable("t", kvstore.WithParts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := tab.Put(i, fmt.Sprintf("value-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runFiles := func(part int) []string {
+		m, ok, err := readManifest(s.manifestPath("t", part))
+		if err != nil || !ok || len(m.Runs) == 0 {
+			t.Fatalf("part %d manifest: ok %v, %d runs, %v", part, ok, len(m.Runs), err)
+		}
+		var paths []string
+		for _, r := range m.Runs {
+			paths = append(paths, s.sstPath("t", part, r.Seq))
+		}
+		return paths
+	}
+	part0 := runFiles(0)
+	if err := os.Truncate(runFiles(1)[0], 10); err != nil {
+		t.Fatal(err)
+	}
+
+	col := &metrics.Collector{}
+	s2, err := New(dir, WithMetrics(col), WithMemtableBudget(2*minMemtable))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	before := col.LSM().Snapshot()
+	if _, err := s2.CreateTable("t", kvstore.WithParts(2)); err == nil {
+		t.Fatal("CreateTable over a torn manifest-listed run succeeded")
+	}
+	after := col.LSM().Snapshot()
+	if after.MemtableBytes != before.MemtableBytes {
+		t.Errorf("memtable gauge %d after the failed open, %d before", after.MemtableBytes, before.MemtableBytes)
+	}
+	for level := 0; level < 8; level++ {
+		if after.RunCounts[level] != before.RunCounts[level] {
+			t.Errorf("level-%d run gauge %d after the failed open, %d before",
+				level, after.RunCounts[level], before.RunCounts[level])
+		}
+	}
+	for _, path := range append(part0, s.logPath("t", 0), s.manifestPath("t", 0)) {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("part 0 file lost by the failed open: %v", err)
+		}
 	}
 }
 
