@@ -16,11 +16,7 @@ func TestConformanceWrappedMemstore(t *testing.T) {
 		t.Cleanup(func() { _ = s.Close() })
 		return s
 	}, kvstoretest.Profile{
-		Name:            "memstore+chaos",
-		DefaultParts:    3,
-		OrderedPairs:    true,
-		CustomHasher:    true,
-		UbiquitousScope: true,
-		ClosedAgents:    true,
+		Name:         "memstore+chaos",
+		DefaultParts: 3,
 	})
 }

@@ -234,10 +234,10 @@ func hasFastPath(v any) bool {
 	return lookupExt(reflect.TypeOf(v)) != nil
 }
 
-// Hasher maps a key to a non-negative hash. Table clients control the
-// assignment of keys to parts by controlling the hash values of their keys
-// (§III-A), either by implementing KeyHash on the key type or by installing a
-// custom Hasher on the table.
+// Hasher maps a key to a non-negative hash. Stores place keys with
+// DefaultHasher; table clients control the assignment of keys to parts by
+// controlling the hash values of their keys (§III-A): a key type that
+// implements KeyHasher supplies its own hash.
 type Hasher interface {
 	Hash(key any) uint64
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ripple/internal/codec"
-	"ripple/internal/kvstore"
 	"ripple/internal/trace"
 )
 
@@ -89,7 +88,7 @@ func (c *compactor) compactPart(pl *partLog) {
 func (pl *partLog) pickMerge(trigger int) (inputs []*sstable, outLevel int, dropTombs bool) {
 	pl.sh.mu.Lock()
 	defer pl.sh.mu.Unlock()
-	if pl.dropped || len(pl.runs) == 0 {
+	if pl.wal == nil || len(pl.runs) == 0 {
 		return nil, 0, false
 	}
 	counts := make(map[int]int)
@@ -229,7 +228,7 @@ func (pl *partLog) mergeRuns(inputs []*sstable, outLevel int, dropTombs bool) er
 	}
 
 	pl.sh.mu.Lock()
-	if pl.dropped {
+	if pl.wal == nil {
 		pl.sh.mu.Unlock()
 		_ = out.close()
 		_ = os.Remove(final)
@@ -278,45 +277,16 @@ func (pl *partLog) mergeRuns(inputs []*sstable, outLevel int, dropTombs bool) er
 	return nil
 }
 
-// Compact force-merges every part of the named table into a single run per
-// part, dropping tombstones and superseded versions. Blocking and
-// synchronous, unlike the background compactor; the LogSize after equals
-// the live data plus per-run framing.
-func (s *Store) Compact(tableName string) error {
-	s.mu.Lock()
-	t, ok := s.tables[tableName]
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return kvstore.ErrClosed
-	}
-	if !ok {
-		return fmt.Errorf("%w: %q", kvstore.ErrNoTable, tableName)
-	}
-	parts := t.group.parts
-	if t.ubiquitous {
-		parts = 1
-	}
-	for p := 0; p < parts; p++ {
-		if err := s.compactTablePart(t, p); err != nil {
-			return fmt.Errorf("diskstore: compact %s part %d: %w", tableName, p, err)
-		}
-	}
-	return nil
-}
-
-func (s *Store) compactTablePart(t *table, part int) error {
-	sh := t.group.shards[part]
-	sh.mu.Lock()
-	pl := sh.logs[t.name]
-	sh.mu.Unlock()
-	if pl == nil {
-		return fmt.Errorf("%w: %q", kvstore.ErrNoTable, t.name)
-	}
+// compact force-merges the part into a single run one level below its
+// deepest, after flushing the memtable (Store.Compact).
+func (pl *partLog) compact() error {
 	pl.mergeMu.Lock()
 	defer pl.mergeMu.Unlock()
-	sh.mu.Lock()
-	err := pl.flushLocked()
+	pl.sh.mu.Lock()
+	err := pl.errLocked()
+	if err == nil {
+		err = pl.flushLocked()
+	}
 	inputs := append([]*sstable(nil), pl.runs...)
 	maxLevel := 0
 	for _, r := range inputs {
@@ -324,7 +294,7 @@ func (s *Store) compactTablePart(t *table, part int) error {
 			maxLevel = r.level
 		}
 	}
-	sh.mu.Unlock()
+	pl.sh.mu.Unlock()
 	if err != nil {
 		return err
 	}

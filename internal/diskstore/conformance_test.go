@@ -19,14 +19,5 @@ func TestConformance(t *testing.T) {
 		Name:         "diskstore",
 		DefaultParts: 3,
 		Caps:         kvstoretest.Caps{Flusher: true},
-		// diskstore drops kvstore.Ordered: EnumeratePairs visits a part in
-		// memtable/run order.
-		OrderedPairs: false,
-		CustomHasher: true,
-		// A ubiquitous table is an ordinary one-part table here, so an agent
-		// may run against it.
-		AgentOnUbiquitous: true,
-		UbiquitousScope:   true,
-		ClosedAgents:      true,
 	})
 }

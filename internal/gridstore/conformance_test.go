@@ -17,10 +17,6 @@ var gridProfile = kvstoretest.Profile{
 		Healer:        true,
 		FailureSensor: true,
 	},
-	OrderedPairs:    true,
-	CustomHasher:    true,
-	UbiquitousScope: true,
-	ClosedAgents:    true,
 }
 
 func TestConformance(t *testing.T) {

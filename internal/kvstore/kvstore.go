@@ -21,8 +21,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-
-	"ripple/internal/codec"
 )
 
 // Common SPI errors. Store implementations wrap these so callers can match
@@ -260,10 +258,9 @@ type Config struct {
 	// Ubiquitous requests a ubiquitous table (overrides Parts).
 	Ubiquitous bool
 	// ConsistentWith names an existing table whose partitioning this table
-	// must share (same part count, same hasher ⇒ same key→part mapping).
+	// must share (same part count ⇒ same key→part mapping under
+	// codec.DefaultHasher).
 	ConsistentWith string
-	// Hasher controls key→part assignment; nil means codec.DefaultHasher.
-	Hasher codec.Hasher
 	// Ordered asks the store to maintain this table's parts in key order so
 	// PartView.EnumerateOrdered is cheap. Stores may ignore it (then ordered
 	// enumeration sorts on demand).
@@ -284,9 +281,6 @@ func ConsistentWith(table string) TableOption {
 	return func(c *Config) { c.ConsistentWith = table }
 }
 
-// WithHasher sets the table's key hasher.
-func WithHasher(h codec.Hasher) TableOption { return func(c *Config) { c.Hasher = h } }
-
 // Ordered asks for key-ordered part storage.
 func Ordered() TableOption { return func(c *Config) { c.Ordered = true } }
 
@@ -296,9 +290,6 @@ func ApplyOptions(defaultParts int, opts []TableOption) Config {
 	cfg := Config{}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.Hasher == nil {
-		cfg.Hasher = codec.DefaultHasher{}
 	}
 	if cfg.Ubiquitous {
 		cfg.Parts = 1

@@ -3,8 +3,6 @@ package kvstore
 import (
 	"errors"
 	"testing"
-
-	"ripple/internal/codec"
 )
 
 func TestApplyOptionsDefaults(t *testing.T) {
@@ -12,18 +10,14 @@ func TestApplyOptionsDefaults(t *testing.T) {
 	if cfg.Parts != 8 {
 		t.Errorf("Parts = %d, want store default 8", cfg.Parts)
 	}
-	if cfg.Hasher == nil {
-		t.Error("Hasher not defaulted")
-	}
 	if cfg.Ubiquitous || cfg.Ordered || cfg.ConsistentWith != "" {
 		t.Errorf("unexpected non-zero config: %+v", cfg)
 	}
 }
 
 func TestApplyOptionsExplicit(t *testing.T) {
-	h := codec.DefaultHasher{}
 	cfg := ApplyOptions(8, []TableOption{
-		WithParts(3), Ordered(), ConsistentWith("base"), WithHasher(h),
+		WithParts(3), Ordered(), ConsistentWith("base"),
 	})
 	if cfg.Parts != 3 || !cfg.Ordered || cfg.ConsistentWith != "base" {
 		t.Errorf("cfg = %+v", cfg)

@@ -9,9 +9,8 @@ import (
 )
 
 // The functions in this file are the pieces of a partitioned store that do
-// not depend on how a part is stored. Stores that are not built on Core
-// (diskstore, netstore) use them too, so enumeration order and co-placement
-// have one definition across every store.
+// not depend on how a part is stored. netstore, which is not built on Core,
+// uses them too, so enumeration order has one definition across every store.
 
 // ForEachPart runs process once per part, in parallel, and folds the results
 // left to right in part order with combine — so the combined result is the
@@ -76,27 +75,6 @@ func (a pairsByPart) ProcessPart(sv kvstore.ShardView) (any, error) {
 }
 
 func (a pairsByPart) Combine(x, y any) (any, error) { return a.pc.Combine(x, y) }
-
-// Placed is a partition group: a part count and the hasher that sends a key
-// to one of them.
-type Placed interface {
-	Placement() (parts int, hasher codec.Hasher)
-}
-
-// CoPlaced reports whether two groups share a key→part mapping, which is what
-// lets an agent next to a part of one see the same part of the other. A group
-// is co-placed with itself; distinct groups are when they have the same part
-// count and both use the default hasher.
-func CoPlaced(a, b Placed) bool {
-	if a == b {
-		return true
-	}
-	pa, ha := a.Placement()
-	pb, hb := b.Placement()
-	_, da := ha.(codec.DefaultHasher)
-	_, db := hb.(codec.DefaultHasher)
-	return pa == pb && da && db
-}
 
 // Keys snapshots a part's keys, in codec.CompareKeys order when ordered.
 func Keys[V any](items map[any]V, ordered bool) []any {

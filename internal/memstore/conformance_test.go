@@ -13,11 +13,7 @@ func TestConformance(t *testing.T) {
 		// The latency option must not change behaviour.
 		return newStore(t, WithParts(3), WithLatency(time.Microsecond))
 	}, kvstoretest.Profile{
-		Name:            "memstore",
-		DefaultParts:    3,
-		OrderedPairs:    true,
-		CustomHasher:    true,
-		UbiquitousScope: true,
-		ClosedAgents:    true,
+		Name:         "memstore",
+		DefaultParts: 3,
 	})
 }

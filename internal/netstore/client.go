@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ripple/internal/codec"
 	"ripple/internal/kvstore"
 	"ripple/internal/metrics"
 	"ripple/internal/mq"
@@ -432,6 +431,12 @@ func (c *Client) callOp(rs []int, req frame, write bool) (frame, error) {
 }
 
 func (c *Client) callOpT(rs []int, req frame, write bool, timeout time.Duration) (frame, error) {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return frame{}, kvstore.ErrClosed
+	}
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
@@ -523,15 +528,9 @@ func (c *Client) Servers() int { return len(c.conns) }
 // Replicas reports the effective replication factor.
 func (c *Client) Replicas() int { return c.replicas }
 
-// CreateTable implements kvstore.Store. Only codec.DefaultHasher tables are
-// supported: keys cross the wire in encoded form and both sides must agree
-// on key→part placement, which a caller-supplied hasher function cannot
-// (functions don't serialize).
+// CreateTable implements kvstore.Store.
 func (c *Client) CreateTable(name string, opts ...kvstore.TableOption) (kvstore.Table, error) {
 	cfg := kvstore.ApplyOptions(c.defaultParts, opts)
-	if _, ok := cfg.Hasher.(codec.DefaultHasher); !ok {
-		return nil, fmt.Errorf("netstore: table %q: only codec.DefaultHasher placement crosses the wire", name)
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -643,15 +642,17 @@ func (c *Client) Tables() []string {
 func (c *Client) RunAgent(tableName string, part int, agent kvstore.Agent) (any, error) {
 	c.mu.Lock()
 	meta, ok := c.tables[tableName]
+	closed := c.closed
 	c.mu.Unlock()
-	if !ok {
+	switch {
+	case closed:
+		return nil, kvstore.ErrClosed
+	case !ok:
 		return nil, fmt.Errorf("%w: %q", kvstore.ErrNoTable, tableName)
+	case meta.ubiq:
+		return nil, fmt.Errorf("netstore: RunAgent against ubiquitous table %q", tableName)
 	}
-	parts := meta.parts
-	if meta.ubiq {
-		parts = 1
-	}
-	if err := kvstore.CheckPart(part, parts); err != nil {
+	if err := kvstore.CheckPart(part, meta.parts); err != nil {
 		return nil, err
 	}
 	sv := &netShardView{c: c, anchor: tableName, meta: meta, part: part}

@@ -16,15 +16,5 @@ func TestConformance(t *testing.T) {
 		Name:         "netstore",
 		DefaultParts: 3,
 		Caps:         kvstoretest.Caps{Healer: true, FailureSensor: true, TraceBinder: true},
-		OrderedPairs: true,
-		// Placement must be computable on both sides of the wire, and a
-		// hasher function does not serialize.
-		CustomHasher:      false,
-		AgentOnUbiquitous: true,
-		// Co-placement is structural (part count only), and a ubiquitous
-		// anchor has no part count to disagree with.
-		UbiquitousScope: false,
-		// Close gates the catalogue; a later dispatch redials.
-		ClosedAgents: false,
 	})
 }

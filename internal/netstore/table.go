@@ -219,7 +219,8 @@ func (sv *netShardView) Part() int { return sv.part }
 
 // View implements kvstore.ShardView. Co-placement is structural: placement
 // is a pure function of (part, fleet), so any two tables with the same part
-// count are co-placed, and ubiquitous tables are visible from everywhere.
+// count are co-placed, and ubiquitous tables are visible from everywhere. An
+// agent anchored on a ubiquitous table sees only ubiquitous tables.
 func (sv *netShardView) View(tableName string) (kvstore.PartView, error) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -236,7 +237,7 @@ func (sv *netShardView) View(tableName string) (kvstore.PartView, error) {
 	switch {
 	case meta.ubiq:
 		pv.rpcPart = 0
-	case meta.parts != sv.meta.parts && !sv.meta.ubiq:
+	case sv.meta.ubiq || meta.parts != sv.meta.parts:
 		return nil, fmt.Errorf("%w: %q has %d parts, agent anchor %q has %d",
 			kvstore.ErrNotCoPlaced, tableName, meta.parts, sv.anchor, sv.meta.parts)
 	}
