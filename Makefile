@@ -8,9 +8,9 @@ GO ?= go
 # Widen it for longer campaigns, e.g. `make soak SOAK_SEEDS=1,2,3,4,5,6,7,8`.
 SOAK_SEEDS ?= 1,2,3
 
-.PHONY: ci vet lint build test race loc codec-bench soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke
+.PHONY: ci vet lint build test race loc codec-bench bench-check soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke
 
-ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke codec-bench
+ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke codec-bench bench-check
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +46,12 @@ codec-bench:
 	$(GO) test -bench 'BenchmarkEncodeEnvelopeBatch|BenchmarkEncodeQueueMsg' \
 		-benchtime 1x -benchmem -run xxx ./internal/ebsp/
 	$(GO) test -bench BenchmarkBoundaryPut -benchtime 1x -benchmem -run xxx ./internal/memstore/
+
+# The benchmark module (bench/, its own go.mod) builds against the stores'
+# constructors and options and mirrors their capability sets in spispan:
+# build it and run its short tests so a store change that breaks it fails here.
+bench-check:
+	cd bench && $(GO) build ./... && $(GO) test -short ./...
 
 # Profiling smoke test: run the quickstart with -profile and validate the
 # emitted Chrome trace parses and is non-empty via ripple-inspect.
