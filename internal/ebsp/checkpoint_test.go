@@ -9,6 +9,7 @@ import (
 	"ripple/internal/diskstore"
 	"ripple/internal/kvstore"
 	"ripple/internal/memstore"
+	"ripple/internal/trace"
 )
 
 // crashAfter aborts the job at a chosen step, standing in for a crash; the
@@ -70,6 +71,39 @@ func TestCheckpointAndResume(t *testing.T) {
 	// Checkpoint tables are dropped after successful completion.
 	if _, ok := store.LookupTable(ckptMetaTable("ckpt")); ok {
 		t.Error("checkpoint meta table survived successful completion")
+	}
+}
+
+// A resumed run is a run: its trace has the job root like any other, and no
+// load span, because nothing was loaded.
+func TestResumeRecordsJobSpans(t *testing.T) {
+	store := memstore.New(memstore.WithParts(4))
+	t.Cleanup(func() { _ = store.Close() })
+	if _, err := NewEngine(store, WithCheckpoints(3)).Run(checkpointChainJob("ckpt-spans", 12, crashAfter(7))); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(4096)
+	e := NewEngine(store, WithCheckpoints(3), WithTracer(tr), WithTraceSampler(trace.NewSampler(1, 42)))
+	if _, err := e.Resume(checkpointChainJob("ckpt-spans", 12, nil)); err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Snapshot()
+	ids := trace.Traces(spans)
+	if len(ids) != 1 {
+		t.Fatalf("resumed run recorded %d traces, want 1", len(ids))
+	}
+	kinds := make(map[trace.Kind]int)
+	for _, s := range spans {
+		if s.Trace == ids[0] {
+			kinds[s.Kind]++
+		}
+	}
+	if kinds[trace.KindJobStart] != 1 || kinds[trace.KindJobEnd] != 1 {
+		t.Errorf("resumed run: %d job_start and %d job_end spans, want 1 and 1",
+			kinds[trace.KindJobStart], kinds[trace.KindJobEnd])
+	}
+	if kinds[trace.KindLoad] != 0 {
+		t.Errorf("resumed run recorded %d load spans, want 0", kinds[trace.KindLoad])
 	}
 }
 

@@ -50,28 +50,39 @@ func TestRunAnywhereBroadcast(t *testing.T) {
 }
 
 // TestRunAnywhereAggregators: partial aggregations from stolen work merge
-// correctly.
+// correctly — in memory, even when the aggregator count puts the job on the
+// table path.
 func TestRunAnywhereAggregators(t *testing.T) {
-	e := newEngine(t)
-	job := &Job{
-		Name:        "ra-agg",
-		StateTables: []string{"raa_state"},
-		Properties:  Properties{OneMsg: true, NoContinue: true, RareState: true},
-		Aggregators: map[string]Aggregator{"n": IntSum{}},
-		Compute: ComputeFunc(func(ctx *Context) bool {
-			ctx.AggregateValue("n", 1)
-			return false
-		}),
-		Loaders: []Loader{&MessageLoader{Messages: []InitialMessage{
-			{Key: 1, Message: 0}, {Key: 2, Message: 0}, {Key: 3, Message: 0}, {Key: 4, Message: 0},
-		}}},
-	}
-	res, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aggregates["n"] != 4 {
-		t.Errorf("aggregate = %v, want 4", res.Aggregates["n"])
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"aggtables", []Option{WithAggTableThreshold(0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, tc.opts...)
+			job := &Job{
+				Name:        "ra-agg",
+				StateTables: []string{"raa_state"},
+				Properties:  Properties{OneMsg: true, NoContinue: true, RareState: true},
+				Aggregators: map[string]Aggregator{"n": IntSum{}},
+				Compute: ComputeFunc(func(ctx *Context) bool {
+					ctx.AggregateValue("n", 1)
+					return false
+				}),
+				Loaders: []Loader{&MessageLoader{Messages: []InitialMessage{
+					{Key: 1, Message: 0}, {Key: 2, Message: 0}, {Key: 3, Message: 0}, {Key: 4, Message: 0},
+				}}},
+			}
+			res, err := e.Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Aggregates["n"] != 4 {
+				t.Errorf("aggregate = %v, want 4", res.Aggregates["n"])
+			}
+		})
 	}
 }
 

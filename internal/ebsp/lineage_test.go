@@ -87,6 +87,21 @@ func TestNoSyncRunReconstructsCausalChain(t *testing.T) {
 	}
 }
 
+// Under run-anywhere the computes run in worker slots, not parts; deliver
+// edges and envelope provenance must still join into one chain.
+func TestRunAnywhereReconstructsCausalChain(t *testing.T) {
+	spans := runSampledJob(t, &Job{
+		Name:        "lineage-steal",
+		StateTables: []string{"lin_steal_state"},
+		Properties:  Properties{OneMsg: true, NoContinue: true, RareState: true},
+		Compute:     &forwardOnce{hops: 12},
+		Loaders:     []Loader{&MessageLoader{Messages: []InitialMessage{{Key: 0, Message: 0}}}},
+	})
+	if err := chainFromSpans(t, spans).Complete(); err != nil {
+		t.Fatalf("chain incomplete: %v", err)
+	}
+}
+
 func TestUnsampledRunCarriesNoTraceContext(t *testing.T) {
 	tr := trace.New(4096)
 	e := newEngine(t,

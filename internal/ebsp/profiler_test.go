@@ -210,3 +210,39 @@ func TestProfilerRunAnywhereRecordsWorkerSlots(t *testing.T) {
 		}
 	}
 }
+
+// Run-anywhere worker slots are published like parts: every slot's profile
+// record has its part-compute and barrier-wait samples.
+func TestRunAnywhereFeedsCollector(t *testing.T) {
+	m := &metrics.Collector{}
+	rec := profile.New(1024)
+	e := newEngine(t, WithMetrics(m), WithProfiler(rec))
+	res, err := e.Run(&Job{
+		Name:        "stealcol",
+		StateTables: []string{"stealcol_state"},
+		Properties:  Properties{OneMsg: true, NoContinue: true, RareState: true},
+		Compute:     &forwardOnce{hops: 6},
+		Loaders:     []Loader{&MessageLoader{Messages: []InitialMessage{{Key: 0, Message: 0}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Strategy.RunAnywhere {
+		t.Fatal("run-anywhere not selected")
+	}
+	var slots int64
+	for _, p := range rec.Snapshot() {
+		if p.Part >= 4 {
+			slots++
+		}
+	}
+	if slots == 0 {
+		t.Fatal("no worker-slot records")
+	}
+	if got := m.PartComputes().Count(); got != slots {
+		t.Errorf("part-compute samples = %d, want one per worker-slot record (%d)", got, slots)
+	}
+	if got := m.BarrierWaits().Count(); got != slots {
+		t.Errorf("barrier-wait samples = %d, want %d", got, slots)
+	}
+}
