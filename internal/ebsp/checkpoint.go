@@ -321,68 +321,7 @@ func (e *Engine) Resume(job *Job) (*Result, error) {
 // resumed job stops at the next barrier once ctx is done, and the context
 // error is returned (wrapped).
 func (e *Engine) ResumeContext(ctx context.Context, job *Job) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := job.validate(); err != nil {
-		return nil, err
-	}
-	if err := e.acquireJob(job.Name); err != nil {
-		return nil, err
-	}
-	defer e.releaseJob(job.Name)
-	meta, err := e.loadCheckpoint(job)
-	if err != nil {
-		return nil, err
-	}
-
-	derived := planFor(job)
-	strategy := derived
-	if e.override != nil {
-		strategy = e.override(derived).Clamp(derived)
-	}
-	strategy.Sync = true // checkpoints only exist for synchronized execution
-	if strategy.FastRecovery {
-		if _, ok := e.store.(kvstore.Transactional); !ok {
-			strategy.FastRecovery = false
-		}
-	}
-	run := &jobRun{
-		engine:   e,
-		job:      job,
-		ctx:      ctx,
-		strategy: strategy,
-		aggPrev:  make(map[string]any),
-		runID:    runSeq.Add(1),
-	}
-	run.setupTraceContext()
-	defer run.cleanup()
-	if err := run.setupTables(); err != nil {
-		return nil, err
-	}
-	if fs, ok := e.store.(kvstore.FailureSensor); ok {
-		run.sensor = fs
-		run.sensedFailovers = fs.Failovers()
-	}
-	if err := run.restoreCheckpoint(meta); err != nil {
-		return nil, err
-	}
-	if err := run.setupAggTables(); err != nil {
-		return nil, err
-	}
-	res, err := run.syncLoop(meta.Step, meta.Pending)
-	for reruns := 0; err != nil && run.autoRecoverable(err, reruns); reruns++ {
-		res, err = run.recoverAndRerun(err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Strategy = strategy
-	res.Recoveries = int(run.recoveries.Load())
-	if err := run.export(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return e.execute(ctx, job, true)
 }
 
 // recreateTable drops and recreates a table consistently partitioned with

@@ -296,54 +296,28 @@ func (run *jobRun) noSyncDelivered(part int, r mq.Reader) error {
 
 // processNoSyncMessage handles one delivered envelope: a state-creation
 // request is applied directly; a data message or enablement marker becomes a
-// compute invocation.
+// compute invocation. The continue signal has no meaning without steps: the
+// queue sink drops it (a no-continue job returning it is still a property
+// violation).
 func (run *jobRun) processNoSyncMessage(env envelope, state stateAccess,
 	bview kvstore.PartView, sink *queueSink) error {
 
-	switch env.Kind {
-	case kindCreate:
+	if env.Kind == kindCreate {
 		return run.applyCreates([]envelope{env}, state)
-	case kindContinue:
-		ctx := &Context{
-			run:       run,
-			step:      0,
-			key:       env.Dst,
-			continued: true,
-			state:     state,
-			out:       sink,
-			aggPrev:   run.aggPrev,
-			broadcast: bview,
-		}
-		return run.invokeNoSync(ctx, sink)
-	default:
-		ctx := &Context{
-			run:       run,
-			step:      0,
-			key:       env.Dst,
-			msgs:      []any{env.Val},
-			state:     state,
-			out:       sink,
-			aggPrev:   run.aggPrev,
-			broadcast: bview,
-		}
-		return run.invokeNoSync(ctx, sink)
 	}
-}
-
-// invokeNoSync runs one invocation; the continue signal has no meaning
-// without steps and is ignored (unless the job declared no-continue, in
-// which case returning true is a property violation).
-func (run *jobRun) invokeNoSync(ctx *Context, sink *queueSink) error {
-	run.engine.metrics.AddComputeInvocations(1)
-	cont := run.job.Compute.Compute(ctx)
-	if err := ctx.finish(); err != nil {
-		return fmt.Errorf("ebsp: component %v: %w", ctx.key, err)
+	ctx := &Context{
+		run:       run,
+		key:       env.Dst,
+		continued: env.Kind == kindContinue,
+		state:     state,
+		out:       sink,
+		aggPrev:   run.aggPrev,
+		broadcast: bview,
 	}
-	if cont && run.job.Properties.NoContinue {
-		return fmt.Errorf("%w: no-continue job returned the positive continue signal (key %v)",
-			ErrPropertyViolated, ctx.key)
+	if !ctx.continued {
+		ctx.msgs = []any{env.Val}
 	}
-	return nil
+	return run.invokeCompute(ctx, sink)
 }
 
 // queueSink delivers a compute invocation's sends straight to the destination

@@ -223,11 +223,12 @@ func (run *jobRun) writeInitialSpills(lc *LoadContext) error {
 	return nil
 }
 
-// partStepResult is what one part's step execution reports back.
+// partStepResult is what one execution slot — a part, or a run-anywhere
+// worker — reports back for a step.
 type partStepResult struct {
 	emitted int64
 	aggs    map[string]any
-	envs    []envelope // run-anywhere: drained data envelopes for the pool
+	envs    []envelope // run-anywhere drain: the part's data envelopes for the workers
 	invoked int64      // compute invocations (enabled components) this step
 	merged  int64      // messages eliminated by the combiner (both sides) this step
 	dur     time.Duration
@@ -241,33 +242,39 @@ type partStepResult struct {
 	bytes     int64         // encoded size of cross-part spill batches
 }
 
-// execStep runs one step across all parts and merges the aggregations.
-// It returns the number of envelopes emitted for the next step.
+// execStep runs one step across all parts, publishes the computing slots'
+// measurements, and merges their aggregations. Every part drains in place;
+// pinned, it also computes there, while under run-anywhere (§II-A) its data
+// envelopes go to a worker pool that may run any component's compute
+// anywhere — the strategy moves only the compute stage. It returns the
+// number of envelopes emitted for the next step.
 func (run *jobRun) execStep(step int) (int64, map[string]any, error) {
+	results, err := fanOut(run.parts, func(p int) (*partStepResult, error) {
+		return run.execPartStep(step, p)
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	first := 0 // slot number of results[0]
 	if run.strategy.RunAnywhere {
-		return run.execStepRunAnywhere(step)
-	}
-	results := make([]*partStepResult, run.parts)
-	errs := make([]error, run.parts)
-	var wg sync.WaitGroup
-	for p := 0; p < run.parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			results[p], errs[p] = run.execPartStep(step, p)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		var tasks []envelope
+		for _, r := range results {
+			tasks = append(tasks, r.envs...)
+		}
+		var next atomic.Int64
+		results, err = fanOut(min(runtime.NumCPU(), len(tasks)), func(w int) (*partStepResult, error) {
+			return run.stealWorker(step, w, tasks, &next)
+		})
 		if err != nil {
 			return 0, nil, err
 		}
+		first = run.parts
 	}
 	var emitted int64
 	for _, r := range results {
 		emitted += r.emitted
 	}
-	run.observePartStats(step, results)
+	run.observePartStats(step, first, results)
 	aggs, err := run.mergeAggregations(step, results)
 	if err != nil {
 		return 0, nil, err
@@ -275,12 +282,35 @@ func (run *jobRun) execStep(step int) (int64, map[string]any, error) {
 	return emitted, aggs, nil
 }
 
-// observePartStats publishes one step's per-part measurements: compute-time
-// and barrier-wait histograms (each part idles behind the step's slowest
-// part), per-part spans, profiler records, skew gauges, the combiner's
+// fanOut runs f for slots 0..n-1 concurrently and returns their results, or
+// the lowest-numbered slot's error.
+func fanOut(n int, f func(slot int) (*partStepResult, error)) ([]*partStepResult, error) {
+	results := make([]*partStepResult, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// observePartStats publishes one step's per-slot measurements: compute-time
+// and barrier-wait histograms (each slot idles behind the step's slowest
+// one), per-slot spans, profiler records, skew gauges, the combiner's
 // effectiveness, and the enabled-component gauge (selective enablement in
-// action).
-func (run *jobRun) observePartStats(step int, results []*partStepResult) {
+// action). Slots are numbered from first: parts are 0..parts-1, and
+// run-anywhere workers parts+w, since their computes detach from any part.
+func (run *jobRun) observePartStats(step, first int, results []*partStepResult) {
 	m := run.engine.metrics
 	tr := run.engine.tracer
 	prof := run.engine.prof
@@ -289,19 +319,20 @@ func (run *jobRun) observePartStats(step int, results []*partStepResult) {
 	}
 	var slowest, fastest time.Duration
 	var invoked int64
-	straggler := 0
+	straggler := first
 	for i, r := range results {
 		if i == 0 || r.dur < fastest {
 			fastest = r.dur
 		}
 		if r.dur > slowest {
 			slowest = r.dur
-			straggler = i
+			straggler = first + i
 		}
 		invoked += r.invoked
 	}
 	stepSpan := run.spanID(step, -1)
-	for p, r := range results {
+	for i, r := range results {
+		p := first + i
 		m.PartComputes().ObserveDuration(r.dur)
 		m.BarrierWaits().ObserveDuration(slowest - r.dur)
 		tr.RecordSpan(trace.Span{Kind: trace.KindPartCompute, Job: run.job.Name,
@@ -361,9 +392,11 @@ func stepSkewRatio(results []*partStepResult, slowest time.Duration) float64 {
 }
 
 // execPartStep runs one part's share of a step, with replay-based recovery
-// when the strategy calls for it.
+// when the strategy calls for it. A run-anywhere part only drains, and its
+// computes run outside the part where a transaction could not roll them
+// back, so it is always a plain agent.
 func (run *jobRun) execPartStep(step, part int) (*partStepResult, error) {
-	if !run.strategy.FastRecovery {
+	if !run.strategy.FastRecovery || run.strategy.RunAnywhere {
 		// Dispatch-entry faults are transient and happen before any agent
 		// code runs, so retrying the dispatch is safe. Transient failures
 		// from inside the agent are retried (and, when exhausted, de-tagged)
@@ -442,7 +475,9 @@ func (run *jobRun) recoveryAgent(step, part int) kvstore.Agent {
 }
 
 // stepAgent is the mobile code for one part's step: drain spills, deliver,
-// invoke computes, flush outgoing spills.
+// invoke computes, flush outgoing spills. Under run-anywhere it is only the
+// drain stage: it applies the creates and hands the data envelopes back for
+// the worker pool.
 func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 	return func(sv kvstore.ShardView) (res any, err error) {
 		defer func() {
@@ -450,9 +485,8 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 				err = fmt.Errorf("ebsp: part %d step %d: compute panicked: %v", part, step, r)
 			}
 		}()
-		prof := run.engine.prof
 		partStart := time.Now()
-		startNS := prof.Now()
+		startNS := run.engine.prof.Now()
 		transport, err := sv.View(run.transport.Name())
 		if err != nil {
 			return nil, err
@@ -462,18 +496,26 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 		if err != nil {
 			return nil, err
 		}
+		// Deliver edges use the owning part's coordinates even when the
+		// computes are stolen: causally, the messages arrived here.
 		run.recordDeliverEdges(step, part, envs)
 		ls, err := run.partViews(sv)
 		if err != nil {
 			return nil, err
 		}
-		hintReadAhead(ls.views, envs)
-		var state stateAccess = ls
-		var counted *countingState
-		if prof != nil {
-			counted = &countingState{inner: state}
-			state = counted
+		if run.strategy.RunAnywhere {
+			if err := run.applyCreates(envs, ls); err != nil {
+				return nil, err
+			}
+			data := envs[:0:0]
+			for _, env := range envs {
+				if env.Kind == kindData {
+					data = append(data, env)
+				}
+			}
+			return &partStepResult{envs: data}, nil
 		}
+		hintReadAhead(ls.views, envs)
 		bview, err := run.broadcastView(sv)
 		if err != nil {
 			return nil, err
@@ -482,79 +524,153 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 		if err != nil {
 			return nil, err
 		}
-
-		if err := run.applyCreates(envs, state); err != nil {
+		slot := run.newComputeSlot(step, part, ls, aggPrev, bview)
+		if err := run.applyCreates(envs, slot.state); err != nil {
 			return nil, err
 		}
-
-		out := newOutBuffer(part, run.parts, run.placement.PartOf, run.job.combiner())
-		if run.sampled {
-			out.trace, out.span = run.traceID, run.spanID(step, part)
-		}
-		aggLocal := make(map[string]any)
-		var invoked, merged int64
-		invoke := func(key any, msgs []any, continued bool) error {
-			invoked++
-			prof.ObserveKey(run.job.Name, key, int64(len(msgs)))
-			return run.invokeCompute(&Context{
-				run:       run,
-				step:      step,
-				key:       key,
-				msgs:      msgs,
-				continued: continued,
-				state:     state,
-				out:       out,
-				aggPrev:   aggPrev,
-				aggLocal:  aggLocal,
-				broadcast: bview,
-			}, out)
-		}
-		countCombined := func(n int64) {
-			merged += n
-			run.engine.metrics.AddMessagesCombined(n)
-		}
-
 		if run.strategy.Collect {
-			err = deliverCollected(envs, run.strategy.Sort, run.job.combiner(), countCombined, invoke)
+			err = deliverCollected(envs, run.strategy.Sort, run.job.combiner(), slot.countCombined, slot.invoke)
 		} else {
-			err = deliverUncollected(envs, run.strategy.Sort, run.job.Properties.OneMsg, invoke)
+			err = deliverUncollected(envs, run.strategy.Sort, run.job.Properties.OneMsg, slot.invoke)
 		}
 		if err != nil {
 			return nil, err
 		}
-
-		if err := out.flushSpills(run, step+1, run.transport, transport); err != nil {
+		if err := slot.finish(transport); err != nil {
 			return nil, err
 		}
-		if err := out.exportDirect(run); err != nil {
-			return nil, err
-		}
-		result := &partStepResult{
-			emitted: out.count, aggs: aggLocal,
-			invoked: invoked, merged: merged + out.combined, dur: time.Since(partStart),
-			startNS: startNS, drainWait: drainWait, msgsIn: int64(len(envs)),
-			bytes: out.bytes,
-		}
-		if counted != nil {
-			result.gets = counted.gets.Load()
-			result.puts = counted.puts.Load()
-		}
+		result := slot.result(partStart, startNS, int64(len(envs)))
+		result.drainWait = drainWait
 		if run.debugEnabled() {
 			run.partLogger(step, part).Debug("part step done",
-				"invoked", invoked, "msgs_in", len(envs), "emitted", out.count)
+				"invoked", result.invoked, "msgs_in", len(envs), "emitted", result.emitted)
 		}
 		if run.aggPartials != nil {
 			partials, err := sv.View(run.aggPartials.Name())
 			if err != nil {
 				return nil, err
 			}
-			if err := partials.Put(aggPartialKey{Step: step, Part: part}, aggLocal); err != nil {
+			if err := partials.Put(aggPartialKey{Step: step, Part: part}, result.aggs); err != nil {
 				return nil, err
 			}
 			result.aggs = nil // merged through the table path instead
 		}
 		return result, nil
 	}
+}
+
+// stealWorker is worker slot w of run-anywhere's compute stage: it takes
+// tasks (each data envelope is one invocation) regardless of placement,
+// reaches the (rarely used) state through whole-table handles, and writes its
+// spills as source part parts+w, which keeps spill keys unique per writer.
+func (run *jobRun) stealWorker(step, w int, tasks []envelope, next *atomic.Int64) (res *partStepResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("ebsp: run-anywhere worker %d: compute panicked: %v", w, r)
+		}
+	}()
+	start := time.Now()
+	startNS := run.engine.prof.Now()
+	var bview kvstore.PartView
+	if run.refTable != nil {
+		bview = &remoteBroadcast{table: run.refTable}
+	}
+	slot := run.newComputeSlot(step, run.parts+w, &remoteState{tables: run.stateTables}, run.aggPrev, bview)
+	msgBuf := make([]any, 1)
+	for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+		msgBuf[0] = tasks[i].Val
+		if err := slot.invoke(tasks[i].Dst, msgBuf, false); err != nil {
+			return nil, err
+		}
+	}
+	if err := slot.finish(nil); err != nil {
+		return nil, err
+	}
+	return slot.result(start, startNS, slot.invoked), nil
+}
+
+// computeSlot is the compute stage of one execution slot — a part running
+// its own components, or a run-anywhere worker running stolen ones: it builds
+// each invocation's Context and buffers the slot's output.
+type computeSlot struct {
+	run       *jobRun
+	step      int
+	state     stateAccess
+	counted   *countingState // state's counters, while a profiler is attached
+	out       *outBuffer
+	aggPrev   map[string]any
+	aggLocal  map[string]any
+	broadcast kvstore.PartView
+	invoked   int64
+	merged    int64 // messages eliminated by receiver-side combining
+}
+
+func (run *jobRun) newComputeSlot(step, slot int, state stateAccess, aggPrev map[string]any,
+	broadcast kvstore.PartView) *computeSlot {
+
+	c := &computeSlot{
+		run:       run,
+		step:      step,
+		state:     state,
+		out:       newOutBuffer(slot, run.parts, run.placement.PartOf, run.job.combiner()),
+		aggPrev:   aggPrev,
+		aggLocal:  make(map[string]any),
+		broadcast: broadcast,
+	}
+	if run.engine.prof != nil {
+		c.counted = &countingState{inner: state}
+		c.state = c.counted
+	}
+	if run.sampled {
+		c.out.trace, c.out.span = run.traceID, run.spanID(step, slot)
+	}
+	return c
+}
+
+// invoke runs one component invocation in this slot.
+func (c *computeSlot) invoke(key any, msgs []any, continued bool) error {
+	c.invoked++
+	c.run.engine.prof.ObserveKey(c.run.job.Name, key, int64(len(msgs)))
+	return c.run.invokeCompute(&Context{
+		run:       c.run,
+		step:      c.step,
+		key:       key,
+		msgs:      msgs,
+		continued: continued,
+		state:     c.state,
+		out:       c.out,
+		aggPrev:   c.aggPrev,
+		aggLocal:  c.aggLocal,
+		broadcast: c.broadcast,
+	}, c.out)
+}
+
+func (c *computeSlot) countCombined(n int64) {
+	c.merged += n
+	c.run.engine.metrics.AddMessagesCombined(n)
+}
+
+// finish writes the slot's spills for the next step — same-part batches
+// through local when the slot is a part — and its direct output.
+func (c *computeSlot) finish(local kvstore.PartView) error {
+	if err := c.out.flushSpills(c.run, c.step+1, c.run.transport, local); err != nil {
+		return err
+	}
+	return c.out.exportDirect(c.run)
+}
+
+// result reports the finished slot's step.
+func (c *computeSlot) result(start time.Time, startNS, msgsIn int64) *partStepResult {
+	r := &partStepResult{
+		emitted: c.out.count, aggs: c.aggLocal,
+		invoked: c.invoked, merged: c.merged + c.out.combined, dur: time.Since(start),
+		startNS: startNS, msgsIn: msgsIn, bytes: c.out.bytes,
+	}
+	if c.counted != nil {
+		r.gets = c.counted.gets.Load()
+		r.puts = c.counted.puts.Load()
+	}
+	return r
 }
 
 // hintReadAhead names the step's enabled keys — the only keys its creates and
@@ -760,210 +876,6 @@ func deliverUncollected(envs []envelope, ordered, oneMsg bool,
 	return nil
 }
 
-// execStepRunAnywhere executes one step with work stealing (§II-A
-// run-anywhere): envelopes are drained per part, then processed by a global
-// worker pool that may run any component's compute anywhere, accessing its
-// (rarely used) state remotely.
-func (run *jobRun) execStepRunAnywhere(step int) (int64, map[string]any, error) {
-	// Phase A: drain each part's spills and apply creates locally.
-	drained := make([][]envelope, run.parts)
-	errs := make([]error, run.parts)
-	var wg sync.WaitGroup
-	for p := 0; p < run.parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var res any
-			err := run.engine.retryOp(run.job.Name, step, p, func() error {
-				var aerr error
-				res, aerr = run.engine.store.RunAgent(run.placement.Name(), p, func(sv kvstore.ShardView) (any, error) {
-					return run.drainForSteal(sv, step, p)
-				})
-				return aerr
-			})
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			drained[p] = res.([]envelope)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-
-	var tasks []envelope
-	for _, envs := range drained {
-		tasks = append(tasks, envs...)
-	}
-	// Under work stealing each data envelope is exactly one invocation.
-	run.engine.metrics.EnabledComponents().Set(int64(len(tasks)))
-
-	// Phase B: a worker pool steals tasks without regard to placement.
-	workers := runtime.NumCPU()
-	if workers > len(tasks) && len(tasks) > 0 {
-		workers = len(tasks)
-	}
-	if workers == 0 {
-		return 0, run.mergePlainAggs(nil), nil
-	}
-	prof := run.engine.prof
-	remote := &remoteState{tables: run.stateTables}
-	var next atomic.Int64
-	outs := make([]*outBuffer, workers)
-	aggs := make([]map[string]any, workers)
-	werrs := make([]error, workers)
-	starts := make([]int64, workers)
-	durs := make([]time.Duration, workers)
-	taken := make([]int64, workers)
-	var wwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wwg.Add(1)
-		go func(w int) {
-			defer wwg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					werrs[w] = fmt.Errorf("ebsp: run-anywhere worker %d: compute panicked: %v", w, r)
-				}
-			}()
-			wStart := time.Now()
-			starts[w] = prof.Now()
-			defer func() { durs[w] = time.Since(wStart) }()
-			// Pseudo-source part beyond the real parts keeps spill keys
-			// unique per writer.
-			out := newOutBuffer(run.parts+w, run.parts, run.placement.PartOf, run.job.combiner())
-			if run.sampled {
-				out.trace, out.span = run.traceID, run.spanID(step, run.parts+w)
-			}
-			outs[w] = out
-			aggLocal := make(map[string]any)
-			aggs[w] = aggLocal
-			msgBuf := make([]any, 1)
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(tasks)) {
-					return
-				}
-				taken[w]++
-				env := tasks[i]
-				msgBuf[0] = env.Val
-				prof.ObserveKey(run.job.Name, env.Dst, 1)
-				ctx := &Context{
-					run:      run,
-					step:     step,
-					key:      env.Dst,
-					msgs:     msgBuf,
-					state:    remote,
-					out:      out,
-					aggPrev:  run.aggPrev,
-					aggLocal: aggLocal,
-				}
-				if run.refTable != nil {
-					ctx.broadcast = &remoteBroadcast{table: run.refTable}
-				}
-				if err := run.invokeCompute(ctx, out); err != nil {
-					werrs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wwg.Wait()
-	for _, err := range werrs {
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-
-	var emitted int64
-	for _, out := range outs {
-		if out == nil {
-			continue
-		}
-		if err := out.flushSpills(run, step+1, run.transport, nil); err != nil {
-			return 0, nil, err
-		}
-		if err := out.exportDirect(run); err != nil {
-			return 0, nil, err
-		}
-		emitted += out.count
-	}
-	if run.sampled {
-		// Worker-slot compute spans, numbered beyond the real parts like
-		// the profiler records: stolen computes still resolve as producers.
-		stepSpan := run.spanID(step, -1)
-		for w := 0; w < workers; w++ {
-			run.engine.tracer.RecordSpan(trace.Span{Kind: trace.KindPartCompute,
-				Job: run.job.Name, Step: step, Part: run.parts + w,
-				N: taken[w], Dur: durs[w],
-				Trace: run.traceID, Span: run.spanID(step, run.parts+w), Parent: stepSpan})
-		}
-	}
-	if prof != nil {
-		// Under work stealing computes detach from their parts, so each
-		// worker slot gets a record instead, numbered beyond the real parts.
-		var slowest time.Duration
-		for _, d := range durs {
-			if d > slowest {
-				slowest = d
-			}
-		}
-		for w := 0; w < workers; w++ {
-			p := profile.StepProfile{
-				Job:           run.job.Name,
-				Step:          step,
-				Part:          run.parts + w,
-				StartNS:       starts[w],
-				ComputeNS:     int64(durs[w]),
-				BarrierWaitNS: int64(slowest - durs[w]),
-				MsgsIn:        taken[w],
-				Enabled:       taken[w],
-			}
-			if outs[w] != nil {
-				p.MsgsOut = outs[w].count
-				p.CombinerHits = outs[w].combined
-				p.MarshalledBytes = outs[w].bytes
-			}
-			prof.Record(p)
-		}
-	}
-	merged := run.mergePlainAggs(aggs)
-	return emitted, merged, nil
-}
-
-// drainForSteal is the run-anywhere drain agent: read and delete one part's
-// spills, apply creates locally, and hand the data envelopes to the pool.
-func (run *jobRun) drainForSteal(sv kvstore.ShardView, step, part int) ([]envelope, error) {
-	transport, err := sv.View(run.transport.Name())
-	if err != nil {
-		return nil, err
-	}
-	envs, err := drainSpills(transport, step)
-	if err != nil {
-		return nil, err
-	}
-	// Deliver edges use the owning part's coordinates even though the
-	// computes may be stolen: causally, the messages arrived here.
-	run.recordDeliverEdges(step, part, envs)
-	state, err := run.partViews(sv)
-	if err != nil {
-		return nil, err
-	}
-	if err := run.applyCreates(envs, state); err != nil {
-		return nil, err
-	}
-	data := envs[:0:0]
-	for _, env := range envs {
-		if env.Kind == kindData {
-			data = append(data, env)
-		}
-	}
-	return data, nil
-}
-
 // remoteBroadcast adapts a whole-table handle to the PartView shape Context
 // uses for broadcast reads.
 type remoteBroadcast struct {
@@ -987,40 +899,25 @@ func (rb *remoteBroadcast) EnumerateOrdered(fn kvstore.PairFunc) error {
 	return kvstore.EnumerateAll(rb.table, fn)
 }
 
-// mergePlainAggs merges per-worker partial aggregations client-side.
-func (run *jobRun) mergePlainAggs(parts []map[string]any) map[string]any {
-	merged := make(map[string]any, len(run.job.Aggregators))
-	for name, agg := range run.job.Aggregators {
-		cur := agg.Zero()
-		saw := false
-		for _, m := range parts {
-			if m == nil {
-				continue
-			}
-			if v, ok := m[name]; ok {
-				cur = agg.Combine(cur, v)
-				saw = true
-			}
-		}
-		if saw {
-			merged[name] = cur
-		}
-	}
-	return merged
-}
-
 // mergeAggregations merges the step's partial aggregations: client-side for
 // a modest number of aggregators, through the auxiliary tables and another
-// round of enumeration for a large number (§IV-A).
+// round of enumeration for a large number (§IV-A). Run-anywhere workers are
+// not parts and write no partials, so their aggregations always merge here.
 func (run *jobRun) mergeAggregations(step int, results []*partStepResult) (map[string]any, error) {
-	if run.aggPartials == nil {
-		maps := make([]map[string]any, 0, len(results))
-		for _, r := range results {
-			if r != nil {
-				maps = append(maps, r.aggs)
+	if run.aggPartials == nil || run.strategy.RunAnywhere {
+		merged := make(map[string]any, len(run.job.Aggregators))
+		for name, agg := range run.job.Aggregators {
+			cur, saw := agg.Zero(), false
+			for _, r := range results {
+				if v, ok := r.aggs[name]; ok {
+					cur, saw = agg.Combine(cur, v), true
+				}
+			}
+			if saw {
+				merged[name] = cur
 			}
 		}
-		return run.mergePlainAggs(maps), nil
+		return merged, nil
 	}
 	// Table path: combine partials via a round of part enumeration.
 	res, err := run.aggPartials.EnumerateParts(kvstore.PartConsumerFuncs{
