@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"ripple/internal/codec"
 	"ripple/internal/kvstore"
 	"ripple/internal/metrics"
 	"ripple/internal/mq"
@@ -284,13 +285,7 @@ func uniform(seed int64, kind, name string, part int, n int64) float64 {
 	putInt64(buf[8:], int64(part))
 	putInt64(buf[16:], n)
 	h.Write(buf[:])
-	x := h.Sum64()
-	// splitmix64 finalizer for avalanche.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := codec.Mix64(h.Sum64())
 	return float64(x>>11) / float64(1<<53)
 }
 

@@ -301,10 +301,18 @@ func (DefaultHasher) Hash(key any) uint64 {
 	}
 }
 
-func hashUint64(x uint64) uint64 {
-	// SplitMix64 finalizer: cheap, well distributed, deterministic across
-	// runs (unlike Go's map hash).
-	x += 0x9e3779b97f4a7c15
+// hashUint64 is one splitmix64 step: cheap, well distributed, deterministic
+// across runs (unlike Go's map hash).
+func hashUint64(x uint64) uint64 { return Mix64(x + 0x9e3779b97f4a7c15) }
+
+// Mix64 is the splitmix64 finalizer: a cheap avalanche that turns structured
+// input (a counter, an fnv hash of coordinates) into uniformly spread bits.
+// It is the one copy every deterministic decision in the repo uses — key
+// placement, trace IDs, chaos coin flips, retry jitter, bloom probes — so
+// the outputs of all of them are pinned by its test. The generator's
+// golden-ratio increment, 0x9e3779b97f4a7c15, is not included; callers
+// that step the generator add it.
+func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)

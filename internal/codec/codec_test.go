@@ -275,6 +275,22 @@ func TestEncodedSize(t *testing.T) {
 	}
 }
 
+// Mix64's outputs are on disk (bloom filters) and in every seeded replay
+// (trace IDs, chaos schedules, retry jitter): they must never change.
+func TestMix64Pinned(t *testing.T) {
+	for _, tc := range []struct{ in, want uint64 }{
+		{0, 0},
+		{1, 0x5692161d100b05e5},
+		{0x9e3779b97f4a7c15, 0xe220a8397b1dcdaf}, // splitmix64's first output from state 0
+		{0x12345678, 0x99a584650fae6a61},
+		{^uint64(0), 0xb4d055fcf2cbbd7b},
+	} {
+		if got := Mix64(tc.in); got != tc.want {
+			t.Errorf("Mix64(%#x) = %#x, want %#x", tc.in, got, tc.want)
+		}
+	}
+}
+
 func TestHashUint64Avalanche(t *testing.T) {
 	// Flipping one input bit should change many output bits on average.
 	base := hashUint64(0x12345678)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+
+	"ripple/internal/codec"
 )
 
 // bloomFilter is a standard double-hashed Bloom filter over encoded key
@@ -34,11 +36,8 @@ func bloomHash(key []byte) (uint64, uint64) {
 	h := fnv.New64a()
 	_, _ = h.Write(key)
 	h1 := h.Sum64()
-	// splitmix64 finalizer decorrelates the second hash from the first.
-	z := h1 + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	h2 := z ^ (z >> 31)
+	// A splitmix64 step decorrelates the second hash from the first.
+	h2 := codec.Mix64(h1 + 0x9e3779b97f4a7c15)
 	return h1, h2 | 1
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"time"
 
+	"ripple/internal/codec"
 	"ripple/internal/kvstore"
 	"ripple/internal/mq"
 	"ripple/internal/trace"
@@ -53,12 +54,7 @@ func retryJitter(seed int64, job string, step, part, attempt int) float64 {
 	binary.BigEndian.PutUint64(buf[16:], uint64(int64(part)))
 	binary.BigEndian.PutUint64(buf[24:], uint64(int64(attempt)))
 	h.Write(buf[:])
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := codec.Mix64(h.Sum64())
 	return float64(x>>11) / float64(1<<53)
 }
 

@@ -8,14 +8,11 @@ package netstore
 // lands its part i on the same servers — which is exactly the co-placement
 // contract ShardView agents rely on.
 
-// splitmix64 is the finalizer used across the repo for deterministic,
-// well-mixed decisions from structured coordinates.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
+import "ripple/internal/codec"
+
+// splitmix64 is one step of the splitmix64 generator: the golden-ratio
+// increment, then the repo's shared finalizer.
+func splitmix64(x uint64) uint64 { return codec.Mix64(x + 0x9E3779B97F4A7C15) }
 
 // placementScore ranks server s for part p.
 func placementScore(part, server int) uint64 {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"time"
+
+	"ripple/internal/codec"
 )
 
 // OTLP/JSON export: the OpenTelemetry OTLP trace shape
@@ -80,7 +82,7 @@ func WriteOTLP(w io.Writer, spans []Span, base time.Time) error {
 	for _, s := range spans {
 		id := s.Span
 		if id == 0 || seen[id] {
-			id = nonzero(splitmix64(fnvUint64(fnvUint64(fnvOffset64, s.Span), s.Seq)))
+			id = nonzero(codec.Mix64(fnvUint64(fnvUint64(fnvOffset64, s.Span), s.Seq)))
 		}
 		seen[id] = true
 		start := base.Add(s.At)

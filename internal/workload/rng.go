@@ -3,6 +3,8 @@ package workload
 import (
 	"hash/fnv"
 	"math/rand"
+
+	"ripple/internal/codec"
 )
 
 // DeriveRand builds a private, decorrelated *rand.Rand from a base seed and
@@ -17,11 +19,6 @@ import (
 func DeriveRand(seed int64, stream string) *rand.Rand {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(stream))
-	z := uint64(seed) ^ h.Sum64()
-	// splitmix64 finalizer.
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := codec.Mix64((uint64(seed) ^ h.Sum64()) + 0x9e3779b97f4a7c15)
 	return rand.New(rand.NewSource(int64(z)))
 }
