@@ -1,10 +1,6 @@
 package chaos
 
-import (
-	"fmt"
-
-	"ripple/internal/kvstore"
-)
+import "ripple/internal/kvstore"
 
 // Wrap decorates a store with the injector's faults: table client operations
 // (Get/Put/Delete/Size and enumeration entry) and agent dispatches can fail
@@ -12,17 +8,27 @@ import (
 // boundaries. Faults are injected before any work happens, so a failed
 // operation had no effect and is safe to retry.
 //
-// When the inner store is transactional (gridstore), the wrapper also
-// forwards the Transactional, Replicated, Healer, and FailureSensor
-// capabilities so the engine's capability probing sees through the
-// decorator; a plain store (memstore, diskstore) stays plain.
+// The decorator answers for exactly the optional capabilities of the repo's
+// stores, so the engine's capability probing sees through it: Flusher for
+// diskstore; Healer, FailureSensor and TraceBinder for the networked client;
+// Transactional, Replicated, Healer and FailureSensor for gridstore; none for
+// memstore. Any other set is narrowed to the largest of these it contains,
+// so no capability is ever claimed that the inner store lacks.
 func Wrap(inner kvstore.Store, inj *Injector) kvstore.Store {
 	s := &Store{inner: inner, inj: inj}
-	if _, ok := inner.(kvstore.Transactional); ok {
-		return &fullStore{sensingStore{Store: s}}
-	}
-	if _, ok := inner.(kvstore.FailureSensor); ok {
-		return &sensingStore{Store: s}
+	_, flush := inner.(kvstore.Flusher)
+	_, tx := inner.(kvstore.Transactional)
+	_, repl := inner.(kvstore.Replicated)
+	_, heal := inner.(kvstore.Healer)
+	_, sense := inner.(kvstore.FailureSensor)
+	_, bind := inner.(kvstore.TraceBinder)
+	switch {
+	case tx && repl && heal && sense:
+		return &fullStore{sensingStore{s}}
+	case heal && sense && bind:
+		return &tracingStore{sensingStore{s}}
+	case flush:
+		return &flushingStore{s}
 	}
 	return s
 }
@@ -79,9 +85,19 @@ func (s *Store) RunAgent(tableName string, part int, agent kvstore.Agent) (any, 
 // Close delegates to the inner store.
 func (s *Store) Close() error { return s.inner.Close() }
 
+// flushingStore extends Store with a buffered inner store's commit point.
+type flushingStore struct {
+	*Store
+}
+
+var _ kvstore.Flusher = (*flushingStore)(nil)
+
+// Flush delegates to the inner store.
+func (s *flushingStore) Flush() error { return s.inner.(kvstore.Flusher).Flush() }
+
 // sensingStore extends Store with the failover-recovery capabilities of a
-// replicated but non-transactional inner store (the networked client): the
-// engine's heal/checkpoint-restore path sees through the decorator.
+// replicated inner store: the engine's heal/checkpoint-restore path sees
+// through the decorator.
 type sensingStore struct {
 	*Store
 }
@@ -89,33 +105,26 @@ type sensingStore struct {
 var (
 	_ kvstore.Healer        = (*sensingStore)(nil)
 	_ kvstore.FailureSensor = (*sensingStore)(nil)
-	_ kvstore.TraceBinder   = (*sensingStore)(nil)
 )
 
 // Heal delegates replica restoration to the inner store.
-func (s *sensingStore) Heal(table string) error {
-	if h, ok := s.inner.(kvstore.Healer); ok {
-		return h.Heal(table)
-	}
-	return nil
-}
+func (s *sensingStore) Heal(table string) error { return s.inner.(kvstore.Healer).Heal(table) }
 
 // Failovers delegates to the inner store's failure sensor.
-func (s *sensingStore) Failovers() int64 {
-	if fs, ok := s.inner.(kvstore.FailureSensor); ok {
-		return fs.Failovers()
-	}
-	return 0
+func (s *sensingStore) Failovers() int64 { return s.inner.(kvstore.FailureSensor).Failovers() }
+
+// tracingStore extends sensingStore with the networked client's trace
+// binding.
+type tracingStore struct {
+	sensingStore
 }
 
-// BindTrace delegates trace binding to the inner transport, when it is one.
-func (s *sensingStore) BindTrace(traceID uint64) {
-	if tb, ok := s.inner.(kvstore.TraceBinder); ok {
-		tb.BindTrace(traceID)
-	}
-}
+var _ kvstore.TraceBinder = (*tracingStore)(nil)
 
-// fullStore extends Store with the optional capabilities of a transactional,
+// BindTrace delegates trace binding to the inner transport.
+func (s *tracingStore) BindTrace(traceID uint64) { s.inner.(kvstore.TraceBinder).BindTrace(traceID) }
+
+// fullStore extends sensingStore with the capabilities of a transactional,
 // replicated inner store.
 type fullStore struct {
 	sensingStore
@@ -124,8 +133,6 @@ type fullStore struct {
 var (
 	_ kvstore.Transactional = (*fullStore)(nil)
 	_ kvstore.Replicated    = (*fullStore)(nil)
-	_ kvstore.Healer        = (*fullStore)(nil)
-	_ kvstore.FailureSensor = (*fullStore)(nil)
 )
 
 // RunTransaction fires due kills, maybe injects a dispatch fault, then
@@ -137,21 +144,12 @@ func (s *fullStore) RunTransaction(tableName string, part int, agent kvstore.Age
 	return s.inner.(kvstore.Transactional).RunTransaction(tableName, part, agent)
 }
 
-// Replicas delegates, defaulting to 1 for non-replicated inner stores.
-func (s *fullStore) Replicas() int {
-	if r, ok := s.inner.(kvstore.Replicated); ok {
-		return r.Replicas()
-	}
-	return 1
-}
+// Replicas delegates to the inner store.
+func (s *fullStore) Replicas() int { return s.inner.(kvstore.Replicated).Replicas() }
 
 // FailPrimary delegates to the inner store's failure injection.
 func (s *fullStore) FailPrimary(table string, part int) error {
-	r, ok := s.inner.(kvstore.Replicated)
-	if !ok {
-		return fmt.Errorf("chaos: inner store %s is not replicated", s.inner.Name())
-	}
-	return r.FailPrimary(table, part)
+	return s.inner.(kvstore.Replicated).FailPrimary(table, part)
 }
 
 // table is the fault-injecting decorator for table handles.
