@@ -1,6 +1,8 @@
 # Ripple build/test entry points. `make ci` is the full gate: lint, build,
-# the race-enabled test run, a short chaos soak, a profiling smoke test, a
-# causal-trace validation smoke, and the fleet observability smoke.
+# the race-enabled test run, a short chaos soak, the process-kill network
+# soak, a profiling smoke test, a causal-trace validation smoke, the fleet
+# observability smoke, the job-service smoke, the codec microbenchmark smoke,
+# and the benchmark module's build and short tests.
 
 GO ?= go
 
