@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"fmt"
+	"slices"
 
 	"ripple/internal/ebsp"
 	"ripple/internal/kvstore"
@@ -113,25 +114,9 @@ func (f *FullScan) Distances() (map[int]int32, error) {
 // ApplyBatch applies the changes to the stored graph and recomputes the
 // annotations with full-scan waves.
 func (f *FullScan) ApplyBatch(batch []workload.Change) (*BatchStats, error) {
-	tab, ok := f.engine.Store().LookupTable(f.table)
-	if !ok {
-		return nil, fmt.Errorf("sssp: table %q missing", f.table)
-	}
-	stats := &BatchStats{}
-	for _, c := range batch {
-		if c.U == c.V || c.U < 0 || c.V < 0 {
-			continue
-		}
-		applied, err := f.applyChange(tab, c)
-		if err != nil {
-			return nil, err
-		}
-		if applied {
-			stats.Applied++
-			if c.Kind == workload.RemoveEdge {
-				stats.HardCase = true
-			}
-		}
+	stats, _, err := editGraph[FsState](f.engine.Store(), f.table, batch)
+	if err != nil {
+		return nil, err
 	}
 	if stats.Applied == 0 {
 		return stats, nil
@@ -153,49 +138,14 @@ func (f *FullScan) ApplyBatch(batch []workload.Change) (*BatchStats, error) {
 	return stats, nil
 }
 
-func (f *FullScan) applyChange(tab kvstore.Table, c workload.Change) (bool, error) {
-	getState := func(u int) (FsState, bool, error) {
-		raw, ok, err := tab.Get(u)
-		if err != nil || !ok {
-			return FsState{}, false, err
-		}
-		return raw.(FsState), true, nil
-	}
-	su, ok, err := getState(c.U)
-	if err != nil || !ok {
-		return false, err
-	}
-	sv, ok, err := getState(c.V)
-	if err != nil || !ok {
-		return false, err
-	}
-	iu := indexOf(su.Nbrs, int32(c.V))
-	switch c.Kind {
-	case workload.AddEdge:
-		if iu >= 0 {
-			return false, nil
-		}
-		su.Nbrs = append(su.Nbrs, int32(c.V))
-		sv.Nbrs = append(sv.Nbrs, int32(c.U))
-	case workload.RemoveEdge:
-		if iu < 0 {
-			return false, nil
-		}
-		su.Nbrs = cut(su.Nbrs, iu)
-		if iv := indexOf(sv.Nbrs, int32(c.U)); iv >= 0 {
-			sv.Nbrs = cut(sv.Nbrs, iv)
-		}
-	default:
-		return false, nil
-	}
-	if err := tab.Put(c.U, su); err != nil {
-		return false, err
-	}
-	if err := tab.Put(c.V, sv); err != nil {
-		return false, err
-	}
-	return true, nil
+// linked, unlinked and nbrs are FsState's edits for editGraph.
+func (s FsState) linked(to int32, _ FsState) FsState {
+	return FsState{Dist: s.Dist, Nbrs: append(slices.Clip(s.Nbrs), to)}
 }
+
+func (s FsState) unlinked(i int) FsState { return FsState{Dist: s.Dist, Nbrs: cut(s.Nbrs, i)} }
+
+func (s FsState) nbrs() []int32 { return s.Nbrs }
 
 const changedAggregator = "sssp.changed"
 

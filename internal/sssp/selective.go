@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ripple/internal/ebsp"
@@ -90,40 +91,18 @@ func (s *Selective) Distances() (map[int]int32, error) {
 // updates the distance annotations (one wave, or two when the batch deletes
 // edges).
 func (s *Selective) ApplyBatch(batch []workload.Change) (*BatchStats, error) {
-	tab, ok := s.engine.Store().LookupTable(s.table)
-	if !ok {
-		return nil, fmt.Errorf("sssp: table %q missing", s.table)
+	stats, applied, err := editGraph[SelState](s.engine.Store(), s.table, batch)
+	if err != nil {
+		return nil, err
 	}
-	stats := &BatchStats{}
 	wave1Seeds := map[int]bool{}
 	wave2Seeds := map[int]bool{}
-	for _, c := range batch {
-		if c.U == c.V || c.U < 0 || c.V < 0 {
-			continue
+	for _, c := range applied {
+		seeds := wave2Seeds
+		if c.Kind == workload.RemoveEdge {
+			seeds = wave1Seeds
 		}
-		switch c.Kind {
-		case workload.AddEdge:
-			applied, err := s.addEdge(tab, c.U, c.V)
-			if err != nil {
-				return nil, err
-			}
-			if applied {
-				stats.Applied++
-				wave2Seeds[c.U] = true
-				wave2Seeds[c.V] = true
-			}
-		case workload.RemoveEdge:
-			applied, err := s.removeEdge(tab, c.U, c.V)
-			if err != nil {
-				return nil, err
-			}
-			if applied {
-				stats.Applied++
-				stats.HardCase = true
-				wave1Seeds[c.U] = true
-				wave1Seeds[c.V] = true
-			}
-		}
+		seeds[c.U], seeds[c.V] = true, true
 	}
 
 	if stats.HardCase {
@@ -163,71 +142,6 @@ func keysOf(set map[int]bool) []any {
 	return out
 }
 
-// addEdge inserts {u, v}, seeding each endpoint's cache with the other's
-// current annotation. It reports whether the edge was new.
-func (s *Selective) addEdge(tab kvstore.Table, u, v int) (bool, error) {
-	su, ok, err := s.state(tab, u)
-	if err != nil || !ok {
-		return false, err
-	}
-	sv, ok, err := s.state(tab, v)
-	if err != nil || !ok {
-		return false, err
-	}
-	if indexOf(su.Nbrs, int32(v)) >= 0 {
-		return false, nil // already present
-	}
-	su.Nbrs = append(su.Nbrs, int32(v))
-	su.NbrDist = append(su.NbrDist, sv.Dist)
-	sv.Nbrs = append(sv.Nbrs, int32(u))
-	sv.NbrDist = append(sv.NbrDist, su.Dist)
-	if err := tab.Put(u, su); err != nil {
-		return false, err
-	}
-	if err := tab.Put(v, sv); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// removeEdge deletes {u, v} from both endpoints' arrays.
-func (s *Selective) removeEdge(tab kvstore.Table, u, v int) (bool, error) {
-	su, ok, err := s.state(tab, u)
-	if err != nil || !ok {
-		return false, err
-	}
-	iu := indexOf(su.Nbrs, int32(v))
-	if iu < 0 {
-		return false, nil
-	}
-	sv, ok, err := s.state(tab, v)
-	if err != nil || !ok {
-		return false, err
-	}
-	iv := indexOf(sv.Nbrs, int32(u))
-	su.Nbrs = cut(su.Nbrs, iu)
-	su.NbrDist = cut(su.NbrDist, iu)
-	if iv >= 0 {
-		sv.Nbrs = cut(sv.Nbrs, iv)
-		sv.NbrDist = cut(sv.NbrDist, iv)
-	}
-	if err := tab.Put(u, su); err != nil {
-		return false, err
-	}
-	if err := tab.Put(v, sv); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-func (s *Selective) state(tab kvstore.Table, u int) (SelState, bool, error) {
-	raw, ok, err := tab.Get(u)
-	if err != nil || !ok {
-		return SelState{}, false, err
-	}
-	return raw.(SelState), true, nil
-}
-
 func indexOf(xs []int32, x int32) int {
 	for i, v := range xs {
 		if v == x {
@@ -236,6 +150,18 @@ func indexOf(xs []int32, x int32) int {
 	}
 	return -1
 }
+
+// linked is s plus an edge to vertex to, whose cache entry is other's
+// annotation. Like unlinked it builds new slices: s may be the stored value.
+func (s SelState) linked(to int32, other SelState) SelState {
+	return SelState{Nbrs: append(slices.Clip(s.Nbrs), to), NbrDist: append(slices.Clip(s.NbrDist), other.Dist), Dist: s.Dist}
+}
+
+func (s SelState) unlinked(i int) SelState {
+	return SelState{Nbrs: cut(s.Nbrs, i), NbrDist: cut(s.NbrDist, i), Dist: s.Dist}
+}
+
+func (s SelState) nbrs() []int32 { return s.Nbrs }
 
 func cut(xs []int32, i int) []int32 {
 	out := make([]int32, 0, len(xs)-1)

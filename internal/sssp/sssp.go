@@ -20,9 +20,12 @@ package sssp
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"ripple/internal/codec"
+	"ripple/internal/kvstore"
 	"ripple/internal/workload"
 )
 
@@ -250,6 +253,128 @@ func supported(cache []int32, d int32) bool {
 		}
 	}
 	return false
+}
+
+// edgeLists is a vertex state whose neighbour list a change batch edits.
+// Its edits return a new state and leave the receiver's slices alone.
+type edgeLists[S any] interface {
+	nbrs() []int32
+	linked(to int32, other S) S // plus an edge to vertex to, whose state is other
+	unlinked(i int) S           // less the edge at index i
+}
+
+// editGraph applies batch's structural edits to table — add if absent,
+// remove if present, skip when an endpoint has no state — and returns the
+// changes that modified the graph, in batch order. One agent per touched
+// part reads each touched state once; the batch is replayed on those states;
+// one agent per part holding a changed state writes it once. No state
+// crosses the store boundary, and a batch whose writes fail part-way is
+// partly applied.
+func editGraph[S edgeLists[S]](store kvstore.Store, table string, batch []workload.Change) (*BatchStats, []workload.Change, error) {
+	tab, ok := store.LookupTable(table)
+	if !ok {
+		return nil, nil, fmt.Errorf("sssp: table %q missing", table)
+	}
+	valid := func(c workload.Change) bool { return c.U != c.V && c.U >= 0 && c.V >= 0 }
+	touched := map[int][]any{} // part -> keys, in first-touch order
+	seen := map[int]bool{}
+	for _, c := range batch {
+		if !valid(c) {
+			continue
+		}
+		for _, k := range [2]int{c.U, c.V} {
+			if !seen[k] {
+				seen[k] = true
+				p := tab.PartOf(k)
+				touched[p] = append(touched[p], k)
+			}
+		}
+	}
+	states := make(map[int]S, len(seen))
+	err := inParts(store, table, touched, func(pv kvstore.PartView, keys []any) error {
+		if ra, ok := pv.(kvstore.ReadAheader); ok {
+			ra.ReadAhead(keys)
+		}
+		for _, k := range keys {
+			v, ok, err := pv.Get(k)
+			if err != nil {
+				return err
+			}
+			if ok {
+				states[k.(int)] = v.(S)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	stats := &BatchStats{}
+	var applied []workload.Change
+	changed := map[int]bool{}
+	for _, c := range batch {
+		su, okU := states[c.U]
+		sv, okV := states[c.V]
+		if !valid(c) || !okU || !okV {
+			continue
+		}
+		iu := indexOf(su.nbrs(), int32(c.V))
+		switch {
+		case c.Kind == workload.AddEdge && iu < 0:
+			states[c.U], states[c.V] = su.linked(int32(c.V), sv), sv.linked(int32(c.U), su)
+		case c.Kind == workload.RemoveEdge && iu >= 0:
+			states[c.U] = su.unlinked(iu)
+			if iv := indexOf(sv.nbrs(), int32(c.U)); iv >= 0 {
+				states[c.V] = sv.unlinked(iv)
+			}
+			stats.HardCase = true
+		default:
+			continue
+		}
+		changed[c.U], changed[c.V] = true, true
+		applied = append(applied, c)
+	}
+	stats.Applied = len(applied)
+
+	dirty := map[int][]any{}
+	for p, keys := range touched {
+		for _, k := range keys {
+			if changed[k.(int)] {
+				dirty[p] = append(dirty[p], k)
+			}
+		}
+	}
+	err = inParts(store, table, dirty, func(pv kvstore.PartView, keys []any) error {
+		for _, k := range keys {
+			if err := pv.Put(k, states[k.(int)]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return stats, applied, nil
+}
+
+// inParts runs fn on table's view of each part in keys, in ascending part
+// order, one agent per part, with that part's keys.
+func inParts(store kvstore.Store, table string, keys map[int][]any, fn func(pv kvstore.PartView, keys []any) error) error {
+	for _, p := range slices.Sorted(maps.Keys(keys)) {
+		_, err := store.RunAgent(table, p, func(sv kvstore.ShardView) (any, error) {
+			pv, err := sv.View(table)
+			if err != nil {
+				return nil, err
+			}
+			return nil, fn(pv, keys[p])
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func checkSource(src, n int) error {
