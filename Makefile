@@ -1,8 +1,9 @@
 # Ripple build/test entry points. `make ci` is the full gate: lint, build,
 # the race-enabled test run, a short chaos soak, the process-kill network
 # soak, a profiling smoke test, a causal-trace validation smoke, the fleet
-# observability smoke, the job-service smoke, the codec microbenchmark smoke,
-# and the benchmark module's build and short tests.
+# observability smoke, the job-service smoke, the SSSP end-to-end smoke, the
+# codec microbenchmark smoke, and the benchmark module's build and short
+# tests.
 
 GO ?= go
 
@@ -10,9 +11,9 @@ GO ?= go
 # Widen it for longer campaigns, e.g. `make soak SOAK_SEEDS=1,2,3,4,5,6,7,8`.
 SOAK_SEEDS ?= 1,2,3
 
-.PHONY: ci vet lint build test race loc codec-bench bench-check soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke
+.PHONY: ci vet lint build test race loc codec-bench bench-check soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke sssp-smoke
 
-ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke codec-bench bench-check
+ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke sssp-smoke codec-bench bench-check
 
 vet:
 	$(GO) vet ./...
@@ -95,6 +96,11 @@ fleet-smoke:
 # two-tenant quota 429s, and DELETE-cancel inside one barrier.
 serve-smoke:
 	$(GO) test -count=1 -run TestServeSmoke ./internal/serve/
+
+# SSSP end-to-end smoke: both variants through five change batches; the
+# example exits non-zero unless each matches a BFS reference after every batch.
+sssp-smoke:
+	$(GO) run ./examples/sssp -vertices 400 -edges 3000 -batches 5 -batch-size 100
 
 # Process-kill network soak: the SSSP full-scan workload against real
 # ripple-part-server child processes over loopback while the chaos schedule
