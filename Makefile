@@ -2,8 +2,9 @@
 # the race-enabled test run, a short chaos soak, the process-kill network
 # soak, a profiling smoke test, a causal-trace validation smoke, the fleet
 # observability smoke, the job-service smoke, the SSSP end-to-end smoke, the
-# codec microbenchmark smoke, and the benchmark module's build and short
-# tests.
+# codec microbenchmark smoke, the benchmark module's build and short tests,
+# and a flake guard that repeats the engine's and the WAL's concurrency
+# tests under the race detector.
 
 GO ?= go
 
@@ -11,9 +12,9 @@ GO ?= go
 # Widen it for longer campaigns, e.g. `make soak SOAK_SEEDS=1,2,3,4,5,6,7,8`.
 SOAK_SEEDS ?= 1,2,3
 
-.PHONY: ci vet lint build test race loc codec-bench bench-check soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke sssp-smoke
+.PHONY: ci vet lint build test race loc codec-bench bench-check soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke sssp-smoke flake-guard
 
-ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke sssp-smoke codec-bench bench-check
+ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve-smoke sssp-smoke codec-bench bench-check flake-guard
 
 vet:
 	$(GO) vet ./...
@@ -111,3 +112,12 @@ soak-net:
 	$(GO) test -race -count=1 \
 		-run 'TestProcessKillSoak|TestWireChaosAgainstFleet' \
 		./internal/netstore/ ./internal/chaos/
+
+# Flake guard: the tests that race engines, Run/Resume callers or WAL writers
+# against each other, twenty times each under the race detector, so a
+# once-in-fifty interleaving fails here instead of in a later change's run.
+flake-guard:
+	$(GO) test -race -count=20 \
+		-run '^(TestSameJobNameTwoEnginesOneStore|TestBusyGuardUnderChurn|TestResumeWhileRunningReturnsBusy)$$' \
+		./internal/ebsp/
+	$(GO) test -race -count=20 -run '^TestGroupCommitBatchesConcurrentWriters$$' ./internal/diskstore/

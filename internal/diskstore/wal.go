@@ -231,6 +231,9 @@ func (sy *syncer) loop() {
 				empty++
 			}
 		}
+		// Count the batch before any waiter is acknowledged, so a writer
+		// that returns always finds its batch in the histogram.
+		sy.store.lsm().GroupCommitBatches().Observe(int64(len(batch)))
 		// One fsync per distinct part in the batch; every waiter on that
 		// part is acknowledged by it.
 		var order []*partLog
@@ -247,7 +250,6 @@ func (sy *syncer) loop() {
 				c <- err
 			}
 		}
-		sy.store.lsm().GroupCommitBatches().Observe(int64(len(batch)))
 	}
 }
 

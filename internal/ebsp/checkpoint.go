@@ -133,23 +133,21 @@ func (run *jobRun) checkpoint(step int, pending int64) error {
 
 	// State tables.
 	for i, t := range run.stateTables {
-		name := ckptStateTable(jobName, i)
-		if err := recreateTable(store, name, run.placement.Name()); err != nil {
+		ckpt, err := recreateTable(store, ckptStateTable(jobName, i), run.placement.Name())
+		if err != nil {
 			return err
 		}
-		ckpt, _ := store.LookupTable(name)
-		if err := copyTable(run, t, ckpt); err != nil {
+		if err := run.copyTable(t, ckpt); err != nil {
 			return fmt.Errorf("ebsp: checkpoint state table %q: %w", t.Name(), err)
 		}
 	}
 
 	// Undelivered spills (the messages crossing the checkpointed barrier).
-	spillName := ckptSpillTable(jobName)
-	if err := recreateTable(store, spillName, run.placement.Name()); err != nil {
+	ckptSpills, err := recreateTable(store, ckptSpillTable(jobName), run.placement.Name())
+	if err != nil {
 		return err
 	}
-	ckptSpills, _ := store.LookupTable(spillName)
-	if err := copyTable(run, run.transport, ckptSpills); err != nil {
+	if err := run.copyTable(run.transport, ckptSpills); err != nil {
 		return fmt.Errorf("ebsp: checkpoint spills: %w", err)
 	}
 
@@ -160,11 +158,10 @@ func (run *jobRun) checkpoint(step int, pending int64) error {
 	if err := kvstore.Flush(store); err != nil {
 		return fmt.Errorf("ebsp: flush checkpoint state: %w", err)
 	}
-	metaName := ckptMetaTable(jobName)
-	if err := recreateTable(store, metaName, run.placement.Name()); err != nil {
+	meta, err := recreateTable(store, ckptMetaTable(jobName), run.placement.Name())
+	if err != nil {
 		return err
 	}
-	meta, _ := store.LookupTable(metaName)
 	aggs := make(map[string]any, len(run.aggPrev))
 	for k, v := range run.aggPrev {
 		aggs[k] = v
@@ -181,7 +178,7 @@ func (run *jobRun) checkpoint(step int, pending int64) error {
 	if err != nil {
 		return fmt.Errorf("ebsp: seal checkpoint meta: %w", err)
 	}
-	if err := run.engine.retryOp(jobName, -1, -1, func() error {
+	if err := run.retry(-1, -1, func() error {
 		return meta.Put("meta", sealed)
 	}); err != nil {
 		return err
@@ -204,14 +201,15 @@ func (run *jobRun) dropCheckpoint() {
 // loadCheckpoint reads the job's checkpoint meta record and validates that
 // the snapshot matches the job specification (name, step budget, state table
 // set), returning ErrCheckpointMismatch (which wraps ErrBadJob) otherwise.
-func (e *Engine) loadCheckpoint(job *Job) (checkpointMeta, error) {
-	metaTab, ok := e.store.LookupTable(ckptMetaTable(job.Name))
+func (run *jobRun) loadCheckpoint() (checkpointMeta, error) {
+	job := run.job
+	metaTab, ok := run.engine.store.LookupTable(ckptMetaTable(job.Name))
 	if !ok {
 		return checkpointMeta{}, fmt.Errorf("%w: %q", ErrNoCheckpoint, job.Name)
 	}
 	var rawMeta any
 	var found bool
-	err := e.retryOp(job.Name, -1, -1, func() error {
+	err := run.retry(-1, -1, func() error {
 		var gerr error
 		rawMeta, found, gerr = metaTab.Get("meta")
 		return gerr
@@ -273,10 +271,10 @@ func (run *jobRun) restoreCheckpoint(meta checkpointMeta) error {
 		if !ok {
 			return fmt.Errorf("%w: missing state snapshot %d", ErrNoCheckpoint, i)
 		}
-		if err := clearTable(run, t); err != nil {
+		if err := run.clearTable(t); err != nil {
 			return err
 		}
-		if err := copyTable(run, ckpt, t); err != nil {
+		if err := run.copyTable(ckpt, t); err != nil {
 			return fmt.Errorf("ebsp: restore state table %q: %w", t.Name(), err)
 		}
 	}
@@ -284,10 +282,10 @@ func (run *jobRun) restoreCheckpoint(meta checkpointMeta) error {
 	if !ok {
 		return fmt.Errorf("%w: missing spill snapshot", ErrNoCheckpoint)
 	}
-	if err := clearTable(run, run.transport); err != nil {
+	if err := run.clearTable(run.transport); err != nil {
 		return err
 	}
-	if err := copyTable(run, ckptSpills, run.transport); err != nil {
+	if err := run.copyTable(ckptSpills, run.transport); err != nil {
 		return fmt.Errorf("ebsp: restore spills: %w", err)
 	}
 	run.aggPrev = make(map[string]any, len(meta.Aggregates))
@@ -296,8 +294,7 @@ func (run *jobRun) restoreCheckpoint(meta checkpointMeta) error {
 	}
 	if run.aggResults != nil {
 		for name, v := range run.aggPrev {
-			name, v := name, v
-			if err := e.retryOp(jobName, -1, -1, func() error { return run.aggResults.Put(name, v) }); err != nil {
+			if err := run.retry(-1, -1, func() error { return run.aggResults.Put(name, v) }); err != nil {
 				return err
 			}
 		}
@@ -326,33 +323,30 @@ func (e *Engine) ResumeContext(ctx context.Context, job *Job) (*Result, error) {
 
 // recreateTable drops and recreates a table consistently partitioned with
 // the placement table.
-func recreateTable(store kvstore.Store, name, consistentWith string) error {
+func recreateTable(store kvstore.Store, name, consistentWith string) (kvstore.Table, error) {
 	if _, ok := store.LookupTable(name); ok {
 		if err := store.DropTable(name); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	_, err := store.CreateTable(name, kvstore.ConsistentWith(consistentWith))
+	t, err := store.CreateTable(name, kvstore.ConsistentWith(consistentWith))
 	if err != nil {
-		return fmt.Errorf("ebsp: create checkpoint table %q: %w", name, err)
+		return nil, fmt.Errorf("ebsp: create checkpoint table %q: %w", name, err)
 	}
-	return nil
+	return t, nil
 }
 
-// copyTable copies every pair from src to dst, part-locally where possible;
-// individual puts retry transient failures when run is non-nil.
-func copyTable(run *jobRun, src, dst kvstore.Table) error {
+// copyTable copies every pair from src to dst, retrying each put's
+// transient failures.
+func (run *jobRun) copyTable(src, dst kvstore.Table) error {
 	return kvstore.EnumerateAll(src, func(k, v any) (bool, error) {
-		if run == nil {
-			return false, dst.Put(k, v)
-		}
-		return false, run.engine.retryOp(run.job.Name, -1, -1, func() error { return dst.Put(k, v) })
+		return false, run.retry(-1, -1, func() error { return dst.Put(k, v) })
 	})
 }
 
-// clearTable deletes every pair of a table; individual deletes retry
-// transient failures when run is non-nil.
-func clearTable(run *jobRun, t kvstore.Table) error {
+// clearTable deletes every pair of a table, retrying each delete's
+// transient failures.
+func (run *jobRun) clearTable(t kvstore.Table) error {
 	keys := make([]any, 0)
 	if err := kvstore.EnumerateAll(t, func(k, _ any) (bool, error) {
 		keys = append(keys, k)
@@ -362,14 +356,7 @@ func clearTable(run *jobRun, t kvstore.Table) error {
 	}
 	sort.Slice(keys, func(i, j int) bool { return codec.CompareKeys(keys[i], keys[j]) < 0 })
 	for _, k := range keys {
-		k := k
-		var err error
-		if run == nil {
-			err = t.Delete(k)
-		} else {
-			err = run.engine.retryOp(run.job.Name, -1, -1, func() error { return t.Delete(k) })
-		}
-		if err != nil {
+		if err := run.retry(-1, -1, func() error { return t.Delete(k) }); err != nil {
 			return err
 		}
 	}

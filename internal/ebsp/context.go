@@ -452,7 +452,7 @@ func (b *outBuffer) flushSpills(run *jobRun, step int, transport kvstore.Table, 
 			// Spill writes are idempotent (keyed by step/src/dst), so
 			// retrying a transient failure is safe. step is the delivery
 			// step: attribution lands on the sender's current-step record.
-			errs[i] = run.engine.retryOp(run.job.Name, step-1, b.srcPart, func() error {
+			errs[i] = run.retry(step-1, b.srcPart, func() error {
 				return transport.Put(key, payload)
 			})
 		}(i, dst, key, payload)

@@ -2,6 +2,7 @@ package ebsp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -33,7 +34,6 @@ type Engine struct {
 	aggTabTh        int   // aggregator count above which the table-based path is used
 	retries         int   // per-part step retries under fast recovery
 	checkpointEvery int   // barrier interval between checkpoints; 0 disables
-	jitterSeed      int64 // seeds the deterministic retry-backoff jitter
 
 	// Active job names: one execution (Run or Resume) per job name at a
 	// time on one engine. Two same-named executions would fight over the
@@ -63,6 +63,13 @@ func (e *Engine) acquireJob(name string) error {
 	}
 	e.active[name] = true
 	return nil
+}
+
+// jobActive reports whether an execution of the job name is in flight.
+func (e *Engine) jobActive(name string) bool {
+	e.activeMu.Lock()
+	defer e.activeMu.Unlock()
+	return e.active[name]
 }
 
 func (e *Engine) releaseJob(name string) {
@@ -119,15 +126,6 @@ func WithMQ(sys mq.Queuing) Option {
 	return func(e *Engine) { e.mqsys = sys }
 }
 
-// WithRetryJitterSeed seeds the deterministic jitter applied to retry
-// backoff (see retryOp): concurrent part retries spread out instead of
-// synchronizing into a thundering herd against a recovering shard, and a
-// fixed seed reproduces the exact jittered fault trace. The default seed
-// is 0, which still jitters — deterministically.
-func WithRetryJitterSeed(seed int64) Option {
-	return func(e *Engine) { e.jitterSeed = seed }
-}
-
 // WithStrategyOverride installs a hook that may adjust the derived execution
 // strategy. Adjustments are clamped to the conservative direction (an
 // override can disable an optimization, never force an unsafe one), so it is
@@ -148,8 +146,9 @@ func WithAggTableThreshold(n int) Option {
 	}
 }
 
-// WithRecoveryRetries bounds how many times a part's step is replayed after
-// a shard failure under fast recovery. Default 3.
+// WithRecoveryRetries bounds each rung of the recovery ladder: the retries
+// of one transient failure, the replays of a part step whose shard failed
+// under fast recovery, and the failover reruns of one job. Default 3.
 func WithRecoveryRetries(n int) Option {
 	return func(e *Engine) {
 		if n >= 0 {
@@ -250,18 +249,21 @@ func (e *Engine) execute(ctx context.Context, job *Job, resume bool) (*Result, e
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
+	if resume {
+		// With no checkpoint meta table there is nothing to load: answer
+		// without taking the name guard, so a Resume with nothing to resume
+		// never turns a concurrent Run away.
+		if _, ok := e.store.LookupTable(ckptMetaTable(job.Name)); !ok {
+			if e.jobActive(job.Name) {
+				return nil, fmt.Errorf("%w: %q", ErrJobBusy, job.Name)
+			}
+			return nil, fmt.Errorf("%w: %q", ErrNoCheckpoint, job.Name)
+		}
+	}
 	if err := e.acquireJob(job.Name); err != nil {
 		return nil, err
 	}
 	defer e.releaseJob(job.Name)
-	var meta *checkpointMeta
-	if resume {
-		m, err := e.loadCheckpoint(job)
-		if err != nil {
-			return nil, err
-		}
-		meta = &m
-	}
 	derived := planFor(job)
 	strategy := derived
 	if e.override != nil {
@@ -282,8 +284,19 @@ func (e *Engine) execute(ctx context.Context, job *Job, resume bool) (*Result, e
 		ctx:      ctx,
 		strategy: strategy,
 		aggPrev:  make(map[string]any),
-		runID:    runSeq.Add(1),
+		// The checkpoint read below precedes the run's trace; its retries
+		// record without trace context.
+		log: e.jobLogger(job.Name, 0),
 	}
+	var meta *checkpointMeta
+	if resume {
+		m, err := run.loadCheckpoint()
+		if err != nil {
+			return nil, err
+		}
+		meta = &m
+	}
+	run.runID = runSeq.Add(1)
 	return run.drive(meta)
 }
 
@@ -303,6 +316,9 @@ func (run *jobRun) drive(meta *checkpointMeta) (*Result, error) {
 	if meta != nil {
 		if err = run.restoreCheckpoint(*meta); err == nil {
 			err = run.setupAggTables()
+		}
+		if err == nil {
+			run.recordRecovery(trace.KindResume, meta.Step, -1, int64(meta.Step), 0, nil)
 		}
 	} else {
 		lc, err = run.load()
@@ -344,7 +360,8 @@ func (run *jobRun) drive(meta *checkpointMeta) (*Result, error) {
 	// with checkpoints enabled the engine heals replication and re-runs a
 	// synchronized job from the last completed checkpoint instead of failing
 	// it — no manual Resume needed.
-	for reruns := 0; err != nil && strategy.Sync && run.autoRecoverable(err, reruns); reruns++ {
+	for reruns := 0; strategy.Sync && errors.Is(err, kvstore.ErrShardFailed) &&
+		e.checkpointEvery > 0 && reruns < e.retries; reruns++ {
 		res, err = run.recoverAndRerun(err)
 	}
 	if err != nil {
@@ -425,19 +442,15 @@ func (run *jobRun) setupTables() error {
 		run.ownsPlacement = true
 		run.privateTables = append(run.privateTables, name)
 	} else {
-		t, ok := e.store.LookupTable(placementName)
-		if !ok {
-			// The placement (or first state) table does not exist yet:
-			// create it, honoring PartsHint.
-			opts := []kvstore.TableOption{}
-			if job.PartsHint > 0 {
-				opts = append(opts, kvstore.WithParts(job.PartsHint))
-			}
-			var err error
-			t, err = e.store.CreateTable(placementName, opts...)
-			if err != nil {
-				return fmt.Errorf("ebsp: create table %q: %w", placementName, err)
-			}
+		// The placement (or first state) table may not exist yet: create
+		// it, honoring PartsHint.
+		opts := []kvstore.TableOption{}
+		if job.PartsHint > 0 {
+			opts = append(opts, kvstore.WithParts(job.PartsHint))
+		}
+		t, err := openOrCreate(e.store, placementName, opts...)
+		if err != nil {
+			return err
 		}
 		run.placement = t
 	}
@@ -447,13 +460,9 @@ func (run *jobRun) setupTables() error {
 	// placement table.
 	run.stateNames = job.StateTables
 	for _, name := range job.StateTables {
-		t, ok := e.store.LookupTable(name)
-		if !ok {
-			var err error
-			t, err = e.store.CreateTable(name, kvstore.ConsistentWith(run.placement.Name()))
-			if err != nil {
-				return fmt.Errorf("ebsp: create state table %q: %w", name, err)
-			}
+		t, err := openOrCreate(e.store, name, kvstore.ConsistentWith(run.placement.Name()))
+		if err != nil {
+			return err
 		}
 		if err := requireCoPlaced(run.placement, t); err != nil {
 			return err
@@ -494,6 +503,26 @@ func (run *jobRun) setupTables() error {
 	return nil
 }
 
+// openOrCreate looks a table up and creates it on a miss. Another engine
+// running the same job name may create it between the two calls; its
+// ErrTableExists means the table is there now, so look it up again. Lookup
+// comes first because most runs find their tables already present.
+func openOrCreate(store kvstore.Store, name string, opts ...kvstore.TableOption) (kvstore.Table, error) {
+	if t, ok := store.LookupTable(name); ok {
+		return t, nil
+	}
+	t, err := store.CreateTable(name, opts...)
+	if errors.Is(err, kvstore.ErrTableExists) {
+		if t, ok := store.LookupTable(name); ok {
+			return t, nil
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ebsp: create table %q: %w", name, err)
+	}
+	return t, nil
+}
+
 // load runs the job's loaders and returns the collected initial condition.
 func (run *jobRun) load() (*LoadContext, error) {
 	lc := &LoadContext{run: run, aggs: make(map[string]any)}
@@ -518,7 +547,7 @@ func (run *jobRun) load() (*LoadContext, error) {
 		go func(i int, p statePut) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = run.engine.retryOp(run.job.Name, -1, -1, func() error {
+			errs[i] = run.retry(-1, -1, func() error {
 				return run.stateTables[p.tab].Put(p.key, p.value)
 			})
 		}(i, p)
@@ -543,10 +572,9 @@ func (run *jobRun) export() error {
 		if !ok {
 			return fmt.Errorf("%w: exporting missing table %q", ErrBadJob, name)
 		}
-		exp := exp
 		// Transient faults fire only at enumeration entry, before any pair is
 		// visited, so retrying the whole enumeration never double-exports.
-		if err := run.engine.retryOp(run.job.Name, -1, -1, func() error {
+		if err := run.retry(-1, -1, func() error {
 			return kvstore.EnumerateAll(t, func(k, v any) (bool, error) {
 				return false, exp.Export(k, v)
 			})

@@ -25,12 +25,6 @@ func isTransient(err error) bool {
 	return errors.Is(err, kvstore.ErrTransient) || errors.Is(err, mq.ErrTransient)
 }
 
-// isFailover reports whether err indicates a failed shard primary — the
-// trigger for heal-and-rerun recovery.
-func isFailover(err error) bool {
-	return errors.Is(err, kvstore.ErrShardFailed)
-}
-
 // retryBackoff is the deterministic bounded backoff curve before retry
 // `attempt` (1-based): 200µs, 400µs, 800µs, ... capped at 5ms.
 func retryBackoff(attempt int) time.Duration {
@@ -44,12 +38,13 @@ func retryBackoff(attempt int) time.Duration {
 // retryJitter maps the retry coordinates to a deterministic fraction in
 // [0,1): fnv64a over the coordinates, then the splitmix64 finalizer for
 // avalanche — the same recipe the chaos injector uses, so a fault trace
-// replayed under a fixed seed sleeps the exact same jittered intervals.
-func retryJitter(seed int64, job string, step, part, attempt int) float64 {
+// replayed under a fixed seed sleeps the exact same jittered intervals. The
+// first eight bytes hashed are a zero seed, kept so schedules stay
+// bit-identical to those of earlier builds.
+func retryJitter(job string, step, part, attempt int) float64 {
 	h := fnv.New64a()
 	h.Write([]byte(job))
 	var buf [32]byte
-	binary.BigEndian.PutUint64(buf[0:], uint64(seed))
 	binary.BigEndian.PutUint64(buf[8:], uint64(int64(step)))
 	binary.BigEndian.PutUint64(buf[16:], uint64(int64(part)))
 	binary.BigEndian.PutUint64(buf[24:], uint64(int64(attempt)))
@@ -58,57 +53,79 @@ func retryJitter(seed int64, job string, step, part, attempt int) float64 {
 	return float64(x>>11) / float64(1<<53)
 }
 
-// backoffFor is retryBackoff's curve stretched by a seeded per-(job, step,
-// part, attempt) factor in [0.5, 1.5): concurrent part retries decorrelate
-// instead of hammering a recovering shard in lockstep, while a fixed seed
-// keeps the whole schedule reproducible.
-func (e *Engine) backoffFor(job string, step, part, attempt int) time.Duration {
+// backoffFor is retryBackoff's curve stretched by a per-(job, step, part,
+// attempt) factor in [0.5, 1.5): concurrent part retries decorrelate
+// instead of hammering a recovering shard in lockstep, while the whole
+// schedule stays reproducible.
+func backoffFor(job string, step, part, attempt int) time.Duration {
 	base := retryBackoff(attempt)
-	return time.Duration(float64(base) * (0.5 + retryJitter(e.jitterSeed, job, step, part, attempt)))
+	return time.Duration(float64(base) * (0.5 + retryJitter(job, step, part, attempt)))
 }
 
-// retryOp runs f, retrying transient failures up to e.retries times with
-// retryBackoff between attempts. A still-transient error after the last
-// attempt is de-tagged (the transient marker is stripped) so an outer,
-// non-idempotent boundary never retries an operation whose effects are
-// unknown. The (job, step, part) coordinates attribute the faults and retries
-// to the profiler record they delayed (step/part -1 for operations outside
-// any part-step: loaders, exporters, checkpoints).
-func (e *Engine) retryOp(job string, step, part int, f func() error) error {
-	err := f()
-	if err != nil && isTransient(err) {
-		e.prof.AddFault(job, step, part)
-	}
-	for attempt := 1; err != nil && isTransient(err) && attempt <= e.retries; attempt++ {
-		backoff := e.backoffFor(job, step, part, attempt)
-		e.metrics.AddRetries(1)
-		e.tracer.Record(trace.KindRetry, job, step, part, int64(attempt), backoff)
-		e.prof.AddRetry(job, step, part)
-		if e.logger != nil {
-			e.logger.Debug("transient fault, retrying operation",
-				"job", job, "step", step, "part", part, "attempt", attempt, "err", err.Error())
+// retry runs op, retrying transient failures up to the engine's retry
+// budget with backoffFor between attempts. A still-transient error after
+// the last attempt is de-tagged (the transient marker is stripped) so an
+// outer, non-idempotent boundary never retries an operation whose effects
+// are unknown. (step, part) name the execution the operation delays; step
+// or part -1 marks a job-level operation (loaders, exporters, checkpoints).
+// The first attempt costs one call and one nil check.
+func (run *jobRun) retry(step, part int, op func() error) error {
+	err := op()
+	for attempt := 1; err != nil && isTransient(err); attempt++ {
+		backoff := backoffFor(run.job.Name, step, part, attempt)
+		run.recordRecovery(trace.KindRetry, step, part, int64(attempt), backoff, err)
+		if attempt > run.engine.retries {
+			return fmt.Errorf("ebsp: retries exhausted after %d attempts: %v", attempt, err)
 		}
 		time.Sleep(backoff)
-		err = f()
-		if err != nil && isTransient(err) {
-			e.prof.AddFault(job, step, part)
-		}
-	}
-	if err != nil && isTransient(err) {
-		if e.logger != nil {
-			e.logger.Warn("retries exhausted",
-				"job", job, "step", step, "part", part, "attempts", e.retries+1, "err", err.Error())
-		}
-		return fmt.Errorf("ebsp: retries exhausted after %d attempts: %v", e.retries+1, err)
+		err = op()
 	}
 	return err
 }
 
-// autoRecoverable reports whether a sync-run failure should trigger
-// heal-and-rerun: a shard failover with checkpoints to recover from, within
-// the rerun budget.
-func (run *jobRun) autoRecoverable(err error, reruns int) bool {
-	return isFailover(err) && run.engine.checkpointEvery > 0 && reruns < run.engine.retries
+// recordRecovery books one event of the recovery ladder (DESIGN §7), named
+// by its span kind: a retry (KindRetry; an attempt past the retry budget is
+// the exhausted one and records no retry), a fast-recovery part replay
+// (KindPartReplay), a failover rerun (KindFailoverRecovery) or a resume
+// (KindResume). n is the span's N: the attempt, the replay, the steps
+// re-run or the checkpoint step. The event's counter, span, profiler
+// attribution and log line are emitted here and nowhere else. Spans record
+// whether or not the run is head-sampled (the tail policy) and carry the
+// run's trace context when it is; their parent is the delayed (step, part)
+// execution, or the job root for job-level events.
+func (run *jobRun) recordRecovery(kind trace.Kind, step, part int, n int64, dur time.Duration, cause error) {
+	e, job := run.engine, run.job.Name
+	parent := run.rootSpan
+	if step >= 0 && part >= 0 {
+		parent = run.spanID(step, part)
+	}
+	switch kind {
+	case trace.KindRetry:
+		e.prof.AddFault(job, step, part)
+		if n > int64(e.retries) {
+			run.log.Warn("retries exhausted",
+				"step", step, "part", part, "attempts", n, "err", cause.Error())
+			return
+		}
+		e.metrics.AddRetries(1)
+		e.prof.AddRetry(job, step, part)
+		run.log.Debug("transient fault, retrying operation",
+			"step", step, "part", part, "attempt", n, "err", cause.Error())
+	case trace.KindPartReplay:
+		run.recoveries.Add(1)
+		e.metrics.AddRecoveries(1)
+		e.prof.AddFault(job, step, part)
+		e.prof.AddRetry(job, step, part)
+		run.log.Warn("shard failed, replaying part step", "step", step, "part", part, "attempt", n)
+	case trace.KindFailoverRecovery:
+		e.metrics.AddStepsRerun(n)
+		run.log.Warn("shard failover: healed and re-running from checkpoint",
+			"cause", cause.Error(), "checkpoint_step", step, "steps_rerun", n, "recovery_dur", dur)
+	case trace.KindResume:
+		run.log.Info("resuming from checkpoint", "checkpoint_step", step)
+	}
+	e.tracer.RecordSpan(trace.Span{Kind: kind, Job: job, Step: step, Part: part, N: n, Dur: dur,
+		Trace: run.traceID, Parent: parent})
 }
 
 // checkFailover samples the store's failover sensor after a completed step.
@@ -140,12 +157,12 @@ func (run *jobRun) recoverAndRerun(cause error) (*Result, error) {
 	e := run.engine
 	start := time.Now()
 	if h, ok := e.store.(kvstore.Healer); ok {
-		if err := h.Heal(run.placement.Name()); err != nil {
-			return nil, fmt.Errorf("ebsp: heal %q after %v: %w", run.placement.Name(), cause, err)
-		}
-		if run.refTable != nil {
-			if err := h.Heal(run.refTable.Name()); err != nil {
-				return nil, fmt.Errorf("ebsp: heal %q after %v: %w", run.refTable.Name(), cause, err)
+		for _, t := range []kvstore.Table{run.placement, run.refTable} {
+			if t == nil {
+				continue
+			}
+			if err := h.Heal(t.Name()); err != nil {
+				return nil, fmt.Errorf("ebsp: heal %q after %v: %w", t.Name(), cause, err)
 			}
 		}
 	}
@@ -153,7 +170,7 @@ func (run *jobRun) recoverAndRerun(cause error) (*Result, error) {
 		// Absorb the failovers the recovery itself observed.
 		run.sensedFailovers = run.sensor.Failovers()
 	}
-	meta, err := e.loadCheckpoint(run.job)
+	meta, err := run.loadCheckpoint()
 	if err != nil {
 		return nil, fmt.Errorf("ebsp: auto-recovery after %v: %w", cause, err)
 	}
@@ -164,15 +181,6 @@ func (run *jobRun) recoverAndRerun(cause error) (*Result, error) {
 	if rerun < 0 {
 		rerun = 0
 	}
-	e.metrics.AddStepsRerun(rerun)
-	// Tail policy: failover recovery always records, with the run's trace
-	// context attached when sampled, so post-hoc lineage shows the rerun.
-	e.tracer.RecordSpan(trace.Span{
-		Kind: trace.KindFailoverRecovery, Job: run.job.Name, Step: meta.Step, Part: -1,
-		N: rerun, Dur: time.Since(start), Trace: run.traceID, Parent: run.rootSpan,
-	})
-	run.log.Warn("shard failover: healed and re-running from checkpoint",
-		"cause", cause.Error(), "checkpoint_step", meta.Step, "steps_rerun", rerun,
-		"recovery_dur", time.Since(start))
+	run.recordRecovery(trace.KindFailoverRecovery, meta.Step, -1, rerun, time.Since(start), cause)
 	return run.syncLoop(meta.Step, meta.Pending)
 }

@@ -16,9 +16,10 @@ import (
 func TestRetryOpRecoversTransientsAndDetags(t *testing.T) {
 	e := NewEngine(memstore.New(), WithRecoveryRetries(3))
 	t.Cleanup(func() { _ = e.Store().Close() })
+	run := &jobRun{engine: e, job: &Job{Name: "j"}, log: discardLog}
 
 	calls := 0
-	err := e.retryOp("j", 1, 0, func() error {
+	err := run.retry(1, 0, func() error {
 		calls++
 		if calls < 3 {
 			return kvstore.ErrTransient
@@ -26,16 +27,16 @@ func TestRetryOpRecoversTransientsAndDetags(t *testing.T) {
 		return nil
 	})
 	if err != nil || calls != 3 {
-		t.Errorf("retryOp = %v after %d calls, want success on 3rd", err, calls)
+		t.Errorf("retry = %v after %d calls, want success on 3rd", err, calls)
 	}
 
 	// A persistent transient exhausts the budget — and the returned error
 	// must NOT be transient anymore, or an outer boundary could retry an
 	// operation whose effects are unknown.
 	calls = 0
-	err = e.retryOp("j", 1, 0, func() error { calls++; return mq.ErrTransient })
+	err = run.retry(1, 0, func() error { calls++; return mq.ErrTransient })
 	if err == nil || calls != 4 {
-		t.Fatalf("retryOp = %v after %d calls, want failure after 4", err, calls)
+		t.Fatalf("retry = %v after %d calls, want failure after 4", err, calls)
 	}
 	if isTransient(err) {
 		t.Errorf("exhausted error still transient: %v", err)
@@ -44,7 +45,7 @@ func TestRetryOpRecoversTransientsAndDetags(t *testing.T) {
 	// Fatal errors pass through untouched, without retries.
 	fatal := errors.New("disk on fire")
 	calls = 0
-	if err := e.retryOp("j", 1, 0, func() error { calls++; return fatal }); !errors.Is(err, fatal) || calls != 1 {
+	if err := run.retry(1, 0, func() error { calls++; return fatal }); !errors.Is(err, fatal) || calls != 1 {
 		t.Errorf("fatal: err=%v calls=%d", err, calls)
 	}
 }
@@ -255,16 +256,13 @@ func TestNoSyncSurvivesDuplicationAndJitter(t *testing.T) {
 }
 
 func TestRetryBackoffJitterDeterministicAndSpread(t *testing.T) {
-	e1 := NewEngine(memstore.New(), WithRetryJitterSeed(7))
-	e2 := NewEngine(memstore.New(), WithRetryJitterSeed(7))
-	e3 := NewEngine(memstore.New(), WithRetryJitterSeed(8))
 	distinct := make(map[time.Duration]bool)
 	for part := 0; part < 8; part++ {
 		for attempt := 1; attempt <= 3; attempt++ {
 			base := retryBackoff(attempt)
-			d1 := e1.backoffFor("job", 2, part, attempt)
-			if d2 := e2.backoffFor("job", 2, part, attempt); d1 != d2 {
-				t.Fatalf("same seed diverged: %v vs %v", d1, d2)
+			d1 := backoffFor("job", 2, part, attempt)
+			if d2 := backoffFor("job", 2, part, attempt); d1 != d2 {
+				t.Fatalf("same coordinates diverged: %v vs %v", d1, d2)
 			}
 			if d1 < base/2 || d1 >= base+base/2 {
 				t.Fatalf("backoff %v outside [%v, %v)", d1, base/2, base+base/2)
@@ -276,12 +274,12 @@ func TestRetryBackoffJitterDeterministicAndSpread(t *testing.T) {
 	if len(distinct) < 12 {
 		t.Errorf("only %d distinct backoffs across 24 (part, attempt) cells", len(distinct))
 	}
-	// A different seed yields a different schedule somewhere.
+	// A different step yields a different schedule somewhere.
 	var diverged bool
 	for part := 0; part < 8 && !diverged; part++ {
-		diverged = e1.backoffFor("job", 2, part, 1) != e3.backoffFor("job", 2, part, 1)
+		diverged = backoffFor("job", 2, part, 1) != backoffFor("job", 3, part, 1)
 	}
 	if !diverged {
-		t.Error("seeds 7 and 8 produced identical schedules")
+		t.Error("steps 2 and 3 produced identical schedules")
 	}
 }

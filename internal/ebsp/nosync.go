@@ -56,7 +56,7 @@ func (run *jobRun) runNoSync(lc *LoadContext) (*Result, error) {
 		}
 		dst := run.placement.PartOf(env.Dst)
 		qm := queueMsg{Env: env, Weight: uint64(w)}
-		if err := run.engine.retryOp(run.job.Name, 0, dst, func() error {
+		if err := run.retry(0, dst, func() error {
 			return qs.Put(dst, qm)
 		}); err != nil {
 			return nil, fmt.Errorf("ebsp: seed message: %w", err)
@@ -75,7 +75,7 @@ func (run *jobRun) runNoSync(lc *LoadContext) (*Result, error) {
 	err = qs.Run(func(r mq.Reader) error {
 		// Injected dispatch faults fire before the worker body runs, so a
 		// retried dispatch never re-executes delivered work.
-		return run.engine.retryOp(run.job.Name, 0, r.Queue(), func() error {
+		return run.retry(0, r.Queue(), func() error {
 			_, aerr := run.engine.store.RunAgent(run.placement.Name(), r.Queue(), func(sv kvstore.ShardView) (any, error) {
 				return nil, run.noSyncWorker(sv, r, qs, det, &failed)
 			})
@@ -358,7 +358,7 @@ func (s *queueSink) add(env envelope, run *jobRun) {
 	} else {
 		// Injected put faults fire before delivery, so a retried send never
 		// double-delivers.
-		err = s.run.engine.retryOp(s.run.job.Name, 0, dst, func() error {
+		err = s.run.retry(0, dst, func() error {
 			return s.qs.Put(dst, qm)
 		})
 	}

@@ -83,8 +83,7 @@ func (run *jobRun) setupAggTables() error {
 	run.privateTables = append(run.privateTables, resultsName)
 	run.aggResults = aggResults
 	for name, v := range run.aggPrev {
-		name, v := name, v
-		if err := run.engine.retryOp(run.job.Name, -1, -1, func() error {
+		if err := run.retry(-1, -1, func() error {
 			return aggResults.Put(name, v)
 		}); err != nil {
 			return err
@@ -143,8 +142,7 @@ func (run *jobRun) syncLoop(completedStep int, pending int64) (*Result, error) {
 		if run.aggResults != nil {
 			run.engine.metrics.AddAggregationRounds(1)
 			for name, v := range aggs {
-				name, v := name, v
-				if err := run.engine.retryOp(run.job.Name, step, -1, func() error {
+				if err := run.retry(step, -1, func() error {
 					return run.aggResults.Put(name, v)
 				}); err != nil {
 					return nil, err
@@ -205,7 +203,7 @@ func (run *jobRun) writeInitialSpills(lc *LoadContext) error {
 			defer wg.Done()
 			// Attributed to (step 1, dst): the fault delays that part's
 			// step-1 input.
-			errs[i] = run.engine.retryOp(run.job.Name, 1, dst, func() error {
+			errs[i] = run.retry(1, dst, func() error {
 				return run.transport.Put(spillKey{Step: 1, Dst: dst, Src: -1}, byDst[dst])
 			})
 		}(i, dst)
@@ -394,64 +392,42 @@ func stepSkewRatio(results []*partStepResult, slowest time.Duration) float64 {
 // execPartStep runs one part's share of a step, with replay-based recovery
 // when the strategy calls for it. A run-anywhere part only drains, and its
 // computes run outside the part where a transaction could not roll them
-// back, so it is always a plain agent.
+// back, so it is always a plain agent. Dispatch-entry faults are transient
+// and happen before any agent code runs, so retrying the dispatch is safe;
+// transient failures from inside the agent are retried (and, when
+// exhausted, de-tagged) at their own operation, so they never reach it.
 func (run *jobRun) execPartStep(step, part int) (*partStepResult, error) {
-	if !run.strategy.FastRecovery || run.strategy.RunAnywhere {
-		// Dispatch-entry faults are transient and happen before any agent
-		// code runs, so retrying the dispatch is safe. Transient failures
-		// from inside the agent are retried (and, when exhausted, de-tagged)
-		// at their own operation, so they never reach this retry.
-		var res any
-		err := run.engine.retryOp(run.job.Name, step, part, func() error {
-			var aerr error
-			res, aerr = run.engine.store.RunAgent(run.placement.Name(), part, run.stepAgent(step, part))
-			return aerr
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.(*partStepResult), nil
+	var res any
+	dispatch := func() (err error) {
+		res, err = run.engine.store.RunAgent(run.placement.Name(), part, run.stepAgent(step, part))
+		return err
 	}
-	tx := run.engine.store.(kvstore.Transactional)
-	var lastErr error
-	for attempt := 0; attempt <= run.engine.retries; attempt++ {
-		res, err := tx.RunTransaction(run.placement.Name(), part, run.recoveryAgent(step, part))
-		if err == nil {
-			return res.(*partStepResult), nil
+	fast := run.strategy.FastRecovery && !run.strategy.RunAnywhere
+	if fast {
+		tx := run.engine.store.(kvstore.Transactional)
+		dispatch = func() (err error) {
+			res, err = tx.RunTransaction(run.placement.Name(), part, run.recoveryAgent(step, part))
+			return err
 		}
-		switch {
-		case errors.Is(err, kvstore.ErrShardFailed):
-			// The shard's primary failed: the transaction rolled back (its
-			// local writes and spill deletions are undone), and spills it
-			// wrote to other parts are idempotent (keyed by step/src/dst),
-			// so — because the job is deterministic — simply replaying the
-			// part's step is correct (paper §IV-A fault-tolerance outline).
-			run.recoveries.Add(1)
-			run.engine.metrics.AddRecoveries(1)
-			run.engine.prof.AddFault(run.job.Name, step, part)
-			run.engine.prof.AddRetry(run.job.Name, step, part)
-			run.log.Warn("shard failed, replaying part step", "step", step, "part", part)
-		case isTransient(err):
-			// Transient dispatch fault: nothing ran; replay after backoff.
-			// Recorded unconditionally — the tail policy keeps fault/retry
-			// spans even for head-unsampled runs — with trace context
-			// attached when the run has one.
-			run.engine.metrics.AddRetries(1)
-			run.engine.tracer.RecordSpan(trace.Span{Kind: trace.KindRetry, Job: run.job.Name,
-				Step: step, Part: part, N: int64(attempt + 1),
-				Trace: run.traceID, Parent: run.spanID(step, part)})
-			run.log.Warn("transient fault, replaying part step",
-				"step", step, "part", part, "attempt", attempt+1, "err", err)
-			run.engine.prof.AddFault(run.job.Name, step, part)
-			run.engine.prof.AddRetry(run.job.Name, step, part)
-			time.Sleep(run.engine.backoffFor(run.job.Name, step, part, attempt+1))
-		default:
-			return nil, err
-		}
-		lastErr = err
 	}
-	return nil, fmt.Errorf("ebsp: part %d step %d unrecovered after %d replays: %w",
-		part, step, run.engine.retries, lastErr)
+	err := run.retry(step, part, dispatch)
+	// Under fast recovery a failed primary rolled the transaction back (its
+	// local writes and spill deletions are undone), and spills it wrote to
+	// other parts are idempotent (keyed by step/src/dst), so — because the
+	// job is deterministic — simply replaying the part's step is correct
+	// (paper §IV-A fault-tolerance outline).
+	for replay := 1; fast && errors.Is(err, kvstore.ErrShardFailed); replay++ {
+		if replay > run.engine.retries {
+			return nil, fmt.Errorf("ebsp: part %d step %d unrecovered after %d replays: %w",
+				part, step, run.engine.retries, err)
+		}
+		run.recordRecovery(trace.KindPartReplay, step, part, int64(replay), 0, err)
+		err = run.retry(step, part, dispatch)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res.(*partStepResult), nil
 }
 
 // recoveryAgent wraps the step agent to also record the part's completed

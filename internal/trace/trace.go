@@ -47,6 +47,8 @@ const (
 	// KindMemtableFlush is appended after KindStats so persisted numeric
 	// kind values from earlier builds stay stable.
 	KindMemtableFlush // diskstore flushed a memtable to an SSTable run (N = bytes written)
+	KindPartReplay    // engine replayed a part's step after its shard failed (N = attempt)
+	KindResume        // Resume restored a checkpoint (N = the checkpoint's step)
 )
 
 var kindNames = map[Kind]string{
@@ -71,6 +73,8 @@ var kindNames = map[Kind]string{
 	KindRPCServer:        "rpc_server",
 	KindStats:            "stats",
 	KindMemtableFlush:    "memtable_flush",
+	KindPartReplay:       "part_replay",
+	KindResume:           "resume",
 }
 
 // kindByName is the reverse of kindNames, built once at init.

@@ -153,15 +153,17 @@ func PowerLawUndirected(rng *rand.Rand, nVertices, nEdges int, s float64) (*Undi
 	g := NewUndirected(nVertices)
 	zipf := rand.NewZipf(rng, s, 1, uint64(nVertices-1))
 	perm := rng.Perm(nVertices)
-	attempts := 0
+	attempts, edges := 0, 0
 	maxAttempts := nEdges * 50
-	for g.NumEdges() < nEdges {
+	for edges < nEdges {
 		if attempts++; attempts > maxAttempts {
 			return nil, fmt.Errorf("workload: could not place %d edges (graph too dense)", nEdges)
 		}
 		u := perm[int(zipf.Uint64())]
 		v := perm[int(zipf.Uint64())]
-		g.AddEdge(u, v)
+		if g.AddEdge(u, v) {
+			edges++
+		}
 	}
 	return g, nil
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -208,5 +211,38 @@ func TestApplyRejectsOutOfRange(t *testing.T) {
 	}
 	if g.Apply(Change{Kind: AddEdge, U: 2, V: 2}) {
 		t.Error("self-loop accepted")
+	}
+}
+
+// TestPowerLawUndirectedGolden pins the generator's output: a SHA-256 over
+// every vertex's sorted neighbour list, at the zipf exponent the SSSP
+// workloads use. Any change to how edges are drawn or accepted moves it.
+func TestPowerLawUndirectedGolden(t *testing.T) {
+	for _, tc := range []struct {
+		vertices, edges int
+		seed            int64
+		want            string
+	}{
+		{400, 3000, 1, "68df8a8976b04be5a887e1839b5eb7885b5250776c59b97286ddb0877ec09db7"},
+		{1500, 40000, 2, "8dd9269cb3e79e588acbeccdc77d8f540e672a7c0b61498cdcccd8357d5f8378"},
+	} {
+		g, err := PowerLawUndirected(rand.New(rand.NewSource(tc.seed)), tc.vertices, tc.edges, 1.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [4]byte
+		for u := 0; u < g.NumVertices; u++ {
+			nbrs := g.Neighbors(u)
+			binary.BigEndian.PutUint32(buf[:], uint32(len(nbrs)))
+			h.Write(buf[:])
+			for _, v := range nbrs {
+				binary.BigEndian.PutUint32(buf[:], uint32(v))
+				h.Write(buf[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("(%d v, %d e, seed %d): digest %s, want %s", tc.vertices, tc.edges, tc.seed, got, tc.want)
+		}
 	}
 }
