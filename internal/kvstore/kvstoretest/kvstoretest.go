@@ -61,6 +61,7 @@ func Run(t *testing.T, newStore func(t *testing.T) kvstore.Store, want Profile) 
 		{"Identity", testIdentity},
 		{"Capabilities", testCapabilities},
 		{"Catalogue", testCatalogue},
+		{"ConcurrentCreate", testConcurrentCreate},
 		{"Routing", testRouting},
 		{"MarshallingIsolation", testMarshallingIsolation},
 		{"AgentViews", testAgentViews},
@@ -185,6 +186,41 @@ func testCatalogue(t *testing.T, s kvstore.Store, _ Profile) {
 	for k := 0; k < 500; k++ {
 		if base.PartOf(k) != twin.PartOf(k) {
 			t.Fatalf("key %d: base part %d, consistent table part %d", k, base.PartOf(k), twin.PartOf(k))
+		}
+	}
+}
+
+// Two callers creating one name race; exactly one gets the table and the
+// other ErrTableExists, whatever the interleaving.
+func testConcurrentCreate(t *testing.T, s kvstore.Store, _ Profile) {
+	for round := 0; round < 200; round++ {
+		name := fmt.Sprintf("race%d", round)
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = s.CreateTable(name, kvstore.WithParts(1))
+			}()
+		}
+		wg.Wait()
+		won, lost := 0, 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				won++
+			case errors.Is(err, kvstore.ErrTableExists):
+				lost++
+			default:
+				t.Fatalf("round %d: CreateTable err = %v", round, err)
+			}
+		}
+		if won != 1 || lost != 1 {
+			t.Fatalf("round %d: %d callers got the table and %d ErrTableExists, want 1 and 1", round, won, lost)
+		}
+		if err := s.DropTable(name); err != nil {
+			t.Fatalf("round %d: DropTable: %v", round, err)
 		}
 	}
 }

@@ -59,6 +59,11 @@ type Client struct {
 	// parts over each other.
 	healMu sync.Mutex
 
+	// createMu serializes CreateTable from the name check through the
+	// broadcast to the registration, so two of this client's callers never
+	// each win the name on a different server.
+	createMu sync.Mutex
+
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -528,9 +533,13 @@ func (c *Client) Servers() int { return len(c.conns) }
 // Replicas reports the effective replication factor.
 func (c *Client) Replicas() int { return c.replicas }
 
-// CreateTable implements kvstore.Store.
+// CreateTable implements kvstore.Store. Of this client's callers racing on
+// one name exactly one wins; two clients racing on one name can both get
+// ErrTableExists, each having won the name on a different server.
 func (c *Client) CreateTable(name string, opts ...kvstore.TableOption) (kvstore.Table, error) {
 	cfg := kvstore.ApplyOptions(c.defaultParts, opts)
+	c.createMu.Lock()
+	defer c.createMu.Unlock()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -561,8 +570,10 @@ func (c *Client) CreateTable(name string, opts ...kvstore.TableOption) (kvstore.
 	}
 	meta := tableMeta{parts: cfg.Parts, ubiq: cfg.Ubiquitous, ordered: cfg.Ordered}
 	c.mu.Lock()
-	c.tables[name] = meta
-	c.order = append(c.order, name)
+	if _, dup := c.tables[name]; !dup { // a concurrent LookupTable cached it
+		c.tables[name] = meta
+		c.order = append(c.order, name)
+	}
 	c.mu.Unlock()
 	return &netTable{c: c, name: name, meta: meta}, nil
 }
