@@ -19,9 +19,13 @@ ci: lint build race soak soak-net profile-smoke trace-validate fleet-smoke serve
 vet:
 	$(GO) vet ./...
 
-# Lint: staticcheck when it is installed, falling back to go vet (nothing is
-# downloaded — CI images without staticcheck still get a gate).
+# Lint: gofmt over the whole tree (bench/ included), then staticcheck when it
+# is installed, falling back to go vet (nothing is downloaded — CI images
+# without staticcheck still get a gate).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \

@@ -48,10 +48,10 @@ func TestGoldenWireFormat(t *testing.T) {
 		{"false", false, []byte{0x01}},
 		{"true", true, []byte{0x02}},
 		{"int_zero", 0, []byte{0x03, 0x00}},
-		{"int_one", 1, []byte{0x03, 0x02}},          // zigzag(1) = 2
-		{"int_neg_one", -1, []byte{0x03, 0x01}},     // zigzag(-1) = 1
-		{"int_150", 150, []byte{0x03, 0xAC, 0x02}},  // zigzag(150) = 300
-		{"int64", int64(7), []byte{0x07, 0x0E}},     // zigzag(7) = 14
+		{"int_one", 1, []byte{0x03, 0x02}},         // zigzag(1) = 2
+		{"int_neg_one", -1, []byte{0x03, 0x01}},    // zigzag(-1) = 1
+		{"int_150", 150, []byte{0x03, 0xAC, 0x02}}, // zigzag(150) = 300
+		{"int64", int64(7), []byte{0x07, 0x0E}},    // zigzag(7) = 14
 		{"uint64", uint64(300), []byte{0x0C, 0xAC, 0x02}},
 		{"float64_one", 1.0, []byte{0x0E, 0x3F, 0xF0, 0, 0, 0, 0, 0, 0}},
 		{"string", "hi", []byte{0x0F, 0x02, 'h', 'i'}},

@@ -41,9 +41,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			acked := make(map[int]string)   // latest acknowledged value
-			deleted := make(map[int]bool)   // acknowledged tombstones
-			crashKey, crashVal := -1, ""    // the one in-flight (unacked) write
+			acked := make(map[int]string) // latest acknowledged value
+			deleted := make(map[int]bool) // acknowledged tombstones
+			crashKey, crashVal := -1, ""  // the one in-flight (unacked) write
 			crashDelete := false
 			for i := 0; i < 400; i++ {
 				op, key := rng.Intn(10), rng.Intn(120)

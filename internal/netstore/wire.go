@@ -98,10 +98,6 @@ func opName(op uint8) string {
 // raw opcodes).
 func OpName(op uint8) string { return opName(op) }
 
-// IsPing reports whether op is the heartbeat opcode, which fault injectors
-// treat specially (partition windows apply, rate faults do not).
-func IsPing(op uint8) bool { return op == opPing }
-
 // Canonical error codes. Server-side errors cross the wire as a code plus
 // the message text, and the client reconstructs an error wrapping the
 // matching canonical sentinel — errors.Is keeps working across the network

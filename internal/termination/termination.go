@@ -49,7 +49,6 @@ func (w Weight) Split() (keep, give Weight) {
 type Detector struct {
 	mu          sync.Mutex
 	outstanding uint64
-	issuedEver  uint64
 	notify      chan struct{}
 	err         error
 }
@@ -68,7 +67,6 @@ func (d *Detector) Issue(units Weight) Weight {
 	}
 	d.mu.Lock()
 	d.outstanding += uint64(units)
-	d.issuedEver += uint64(units)
 	d.mu.Unlock()
 	return units
 }
@@ -115,13 +113,6 @@ func (d *Detector) Outstanding() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.outstanding
-}
-
-// IssuedEver reports the total weight ever issued (monotone; for tests).
-func (d *Detector) IssuedEver() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.issuedEver
 }
 
 // Quiescent reports whether all issued weight has been returned.
