@@ -170,10 +170,10 @@ func (run *jobRun) checkpoint(step int, pending int64) error {
 		Step:       step,
 		Pending:    pending,
 		Aggregates: aggs,
-		Tables:     run.stateNames,
+		Tables:     run.job.StateTables,
 		JobName:    jobName,
 		MaxSteps:   run.job.MaxSteps,
-		TableHash:  tableSetHash(run.stateNames),
+		TableHash:  tableSetHash(run.job.StateTables),
 	})
 	if err != nil {
 		return fmt.Errorf("ebsp: seal checkpoint meta: %w", err)

@@ -496,10 +496,8 @@ type LoadContext struct {
 
 	mu       sync.Mutex
 	envs     []envelope
-	seq      int
 	aggs     map[string]any
 	puts     []statePut
-	enabled  int64
 	messages int64
 }
 
@@ -513,8 +511,7 @@ type statePut struct {
 func (lc *LoadContext) SendMessage(key, msg any) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	lc.envs = append(lc.envs, envelope{Dst: key, Kind: kindData, Val: msg, Src: -1, Seq: lc.seq})
-	lc.seq++
+	lc.envs = append(lc.envs, envelope{Dst: key, Kind: kindData, Val: msg, Src: -1, Seq: len(lc.envs)})
 	lc.messages++
 }
 
@@ -523,9 +520,7 @@ func (lc *LoadContext) SendMessage(key, msg any) {
 func (lc *LoadContext) Enable(key any) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	lc.envs = append(lc.envs, envelope{Dst: key, Kind: kindContinue, Src: -1, Seq: lc.seq})
-	lc.seq++
-	lc.enabled++
+	lc.envs = append(lc.envs, envelope{Dst: key, Kind: kindContinue, Src: -1, Seq: len(lc.envs)})
 }
 
 // PutState writes an initial component state into the tab-th state table.

@@ -91,16 +91,6 @@ func Dump(t Table) (map[any]any, error) {
 	return out, nil
 }
 
-// LoadMap bulk-puts the contents of a map into a table.
-func LoadMap(t Table, m map[any]any) error {
-	for k, v := range m {
-		if err := t.Put(k, v); err != nil {
-			return fmt.Errorf("kvstore: load %s: %w", t.Name(), err)
-		}
-	}
-	return nil
-}
-
 // EnumerateAll visits every pair of a table through a single callback,
 // serialized (the callback never runs concurrently with itself).
 func EnumerateAll(t Table, fn func(key, value any) (stop bool, err error)) error {

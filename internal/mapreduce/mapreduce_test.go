@@ -23,8 +23,10 @@ func loadDocs(t *testing.T, e *ebsp.Engine, docs map[any]any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kvstore.LoadMap(tab, docs); err != nil {
-		t.Fatal(err)
+	for k, v := range docs {
+		if err := tab.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

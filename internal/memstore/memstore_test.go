@@ -459,9 +459,10 @@ func TestPartViewLenAndTableName(t *testing.T) {
 func TestDumpAndLoadMapHelpers(t *testing.T) {
 	s := newStore(t)
 	tab, _ := s.CreateTable("t", kvstore.WithParts(3))
-	in := map[any]any{1: "a", 2: "b", 3: "c"}
-	if err := kvstore.LoadMap(tab, in); err != nil {
-		t.Fatal(err)
+	for k, v := range map[any]any{1: "a", 2: "b", 3: "c"} {
+		if err := tab.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out, err := kvstore.Dump(tab)
 	if err != nil {

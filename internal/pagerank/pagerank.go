@@ -20,11 +20,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ripple/internal/codec"
 	"ripple/internal/ebsp"
 	"ripple/internal/kvstore"
 	"ripple/internal/mapreduce"
+	"ripple/internal/tableops"
 	"ripple/internal/workload"
 )
 
@@ -497,26 +499,18 @@ func RunMapReduce(e *ebsp.Engine, cfg Config) (*mapreduce.Summary, error) {
 	return mapreduce.RunIterated(e, job)
 }
 
-// LoadGraph stores a generated directed graph as Vertex entries.
+// LoadGraph stores a generated directed graph as Vertex entries, one agent
+// per part. Each entry gets its own copy of the adjacency list, since part
+// views may keep the value itself and callers reuse one graph across jobs.
 func LoadGraph(store kvstore.Store, table string, g *workload.DirectedGraph, parts int) (kvstore.Table, error) {
-	opts := []kvstore.TableOption{}
-	if parts > 0 {
-		opts = append(opts, kvstore.WithParts(parts))
-	}
-	tab, err := store.CreateTable(table, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for u := 0; u < g.NumVertices; u++ {
-		if err := tab.Put(u, Vertex{Out: g.Out[u]}); err != nil {
-			return nil, err
-		}
-	}
-	return tab, nil
+	return tableops.Load(store, table, parts, g.NumVertices, func(u int) any {
+		return Vertex{Out: slices.Clone(g.Out[u])}
+	})
 }
 
 // SeedRanks rewrites a structure-only table with Ranked entries carrying the
-// uniform initial ranks, the MapReduce variant's starting condition.
+// uniform initial ranks, the MapReduce variant's starting condition. One
+// agent per part reads the part's pairs, then writes them.
 func SeedRanks(tab kvstore.Table) error {
 	n, err := tab.Size()
 	if err != nil {
@@ -526,16 +520,24 @@ func SeedRanks(tab kvstore.Table) error {
 		return fmt.Errorf("%w: empty graph", ErrBadConfig)
 	}
 	r0 := 1.0 / float64(n)
-	pairs, err := kvstore.Dump(tab)
-	if err != nil {
-		return err
-	}
-	for k, v := range pairs {
-		if err := tab.Put(k, Ranked{Out: structureOf(v), Rank: r0}); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = tab.EnumerateParts(kvstore.PartConsumerFuncs{
+		ProcessFn: func(sv kvstore.ShardView) (any, error) {
+			pv, err := sv.View(tab.Name())
+			if err != nil {
+				return nil, err
+			}
+			var keys, vals []any
+			err = pv.Enumerate(func(k, v any) (bool, error) {
+				keys, vals = append(keys, k), append(vals, Ranked{Out: structureOf(v), Rank: r0})
+				return false, nil
+			})
+			for i := 0; err == nil && i < len(keys); i++ {
+				err = pv.Put(keys[i], vals[i])
+			}
+			return nil, err
+		},
+	})
+	return err
 }
 
 // ReadRanks extracts the final ranks from a graph table.

@@ -7,6 +7,7 @@ import (
 	"ripple/internal/ebsp"
 	"ripple/internal/kvstore"
 	"ripple/internal/mapreduce"
+	"ripple/internal/tableops"
 	"ripple/internal/workload"
 )
 
@@ -73,22 +74,14 @@ func (f *FullScan) Init(g *workload.UndirectedGraph) error {
 	if err := checkSource(f.source, g.NumVertices); err != nil {
 		return err
 	}
-	opts := []kvstore.TableOption{}
-	if f.parts > 0 {
-		opts = append(opts, kvstore.WithParts(f.parts))
-	}
-	tab, err := f.engine.Store().CreateTable(f.table, opts...)
+	_, err := tableops.Load(f.engine.Store(), f.table, f.parts, g.NumVertices, func(u int) any {
+		if u == f.source {
+			return FsState{Dist: 0, Nbrs: g.Neighbors(u)}
+		}
+		return FsState{Dist: Inf, Nbrs: g.Neighbors(u)}
+	})
 	if err != nil {
 		return err
-	}
-	for u := 0; u < g.NumVertices; u++ {
-		d := Inf
-		if u == f.source {
-			d = 0
-		}
-		if err := tab.Put(u, FsState{Dist: d, Nbrs: g.Neighbors(u)}); err != nil {
-			return err
-		}
 	}
 	_, err = f.runWave(waveDecrease)
 	return err

@@ -7,6 +7,7 @@ import (
 
 	"ripple/internal/ebsp"
 	"ripple/internal/kvstore"
+	"ripple/internal/tableops"
 	"ripple/internal/workload"
 )
 
@@ -48,23 +49,16 @@ func (s *Selective) Init(g *workload.UndirectedGraph) error {
 	if err := checkSource(s.source, g.NumVertices); err != nil {
 		return err
 	}
-	opts := []kvstore.TableOption{}
-	if s.parts > 0 {
-		opts = append(opts, kvstore.WithParts(s.parts))
-	}
-	tab, err := s.engine.Store().CreateTable(s.table, opts...)
-	if err != nil {
-		return err
-	}
-	for u := 0; u < g.NumVertices; u++ {
+	_, err := tableops.Load(s.engine.Store(), s.table, s.parts, g.NumVertices, func(u int) any {
 		nbrs := g.Neighbors(u)
 		cache := make([]int32, len(nbrs))
 		for i := range cache {
 			cache[i] = Inf
 		}
-		if err := tab.Put(u, SelState{Nbrs: nbrs, NbrDist: cache, Dist: Inf}); err != nil {
-			return err
-		}
+		return SelState{Nbrs: nbrs, NbrDist: cache, Dist: Inf}
+	})
+	if err != nil {
+		return err
 	}
 	_, err = s.runWave(waveDecrease, []any{s.source}, nil)
 	return err
