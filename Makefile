@@ -117,11 +117,12 @@ soak-net:
 		-run 'TestProcessKillSoak|TestWireChaosAgainstFleet' \
 		./internal/netstore/ ./internal/chaos/
 
-# Flake guard: the tests that race engines, Run/Resume callers or WAL writers
-# against each other, twenty times each under the race detector, so a
-# once-in-fifty interleaving fails here instead of in a later change's run.
+# Flake guard: the tests that race engines, Run/Resume callers, checkpoint
+# copy agents or WAL writers against each other, twenty times each under the
+# race detector, so a once-in-fifty interleaving fails here instead of in a
+# later change's run.
 flake-guard:
 	$(GO) test -race -count=20 \
-		-run '^(TestSameJobNameTwoEnginesOneStore|TestBusyGuardUnderChurn|TestResumeWhileRunningReturnsBusy)$$' \
+		-run '^(TestSameJobNameTwoEnginesOneStore|TestBusyGuardUnderChurn|TestResumeWhileRunningReturnsBusy|TestCheckpointSurvivesDeathAtEveryCall)$$' \
 		./internal/ebsp/
 	$(GO) test -race -count=20 -run '^TestGroupCommitBatchesConcurrentWriters$$' ./internal/diskstore/

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -198,16 +199,15 @@ func TestOutOfCoreSoak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, suffix := range []string{"meta", "spills", "state.0"} {
-			name := fmt.Sprintf("__ckpt.pagerank.direct.%s", suffix)
-			if _, err := s2.CreateTable(name, kvstore.ConsistentWith(oocTable)); err != nil &&
-				!errors.Is(err, kvstore.ErrTableExists) {
-				t.Fatal(err)
-			}
-		}
 		job2, err := pagerank.DirectJob(s2, oocConfig())
 		if err != nil {
 			t.Fatal(err)
+		}
+		meta, slots := ebsp.CheckpointTables(job2.Name, 1)
+		for _, name := range slices.Concat([]string{meta}, slots[0], slots[1]) {
+			if _, err := kvstore.OpenOrCreate(s2, name, kvstore.ConsistentWith(oocTable)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res2, err := ebsp.NewEngine(s2, ebsp.WithCheckpoints(2)).Resume(job2)
 		if err != nil {

@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 
 	"ripple/internal/codec"
 	"ripple/internal/kvstore"
@@ -48,7 +49,9 @@ func WithCheckpoints(every int) Option {
 // TableHash identify the job specification that wrote the snapshot; Resume
 // rejects a mismatching job with ErrCheckpointMismatch. (JobName doubles as
 // the format marker: a legacy record decodes with JobName "" and skips the
-// identity checks.)
+// identity checks.) Slot names the slot whose tables hold the snapshot; a
+// record written before there were two slots decodes as slot 0, which keeps
+// the one-slot table names.
 type checkpointMeta struct {
 	Step       int
 	Pending    int64
@@ -57,6 +60,7 @@ type checkpointMeta struct {
 	JobName    string
 	MaxSteps   int
 	TableHash  uint64
+	Slot       int
 }
 
 // tableSetHash fingerprints the job's state table set (order included).
@@ -114,88 +118,150 @@ func openMeta(sealed []byte) (checkpointMeta, error) {
 	return meta, nil
 }
 
-// checkpointPrefix names a job's checkpoint tables; stable across runs so
-// Resume can find them.
-func checkpointPrefix(jobName string) string {
-	return fmt.Sprintf("__ckpt.%s", jobName)
+// CheckpointTables names the tables that hold a job's checkpoints: the meta
+// table, whose one record is the commit point, and the two slots checkpoints
+// alternate between. Each slot lists its spill snapshot, then one snapshot per
+// state table in the job's order. The meta table and every snapshot are
+// partitioned consistently with the job's placement table, except that the
+// snapshot of a ubiquitous state table is ubiquitous. A store that loses its
+// catalogue across a restart (diskstore) reopens these tables, with those
+// options, before a Resume. The engine is the only other code that knows the
+// names.
+func CheckpointTables(job string, stateTables int) (meta string, slots [2][]string) {
+	for s, prefix := range []string{"__ckpt." + job, "__ckpt." + job + ".s1"} {
+		slots[s] = append(slots[s], prefix+".spills")
+		for i := 0; i < stateTables; i++ {
+			slots[s] = append(slots[s], fmt.Sprintf("%s.state.%d", prefix, i))
+		}
+	}
+	return ckptMetaTable(job), slots
 }
 
-func ckptMetaTable(jobName string) string  { return checkpointPrefix(jobName) + ".meta" }
-func ckptSpillTable(jobName string) string { return checkpointPrefix(jobName) + ".spills" }
-func ckptStateTable(jobName string, tab int) string {
-	return fmt.Sprintf("%s.state.%d", checkpointPrefix(jobName), tab)
+func ckptMetaTable(job string) string { return "__ckpt." + job + ".meta" }
+
+// liveTables are what a checkpoint snapshots, in slot order: the spill
+// transport (the messages crossing the barrier), then the state tables.
+func (run *jobRun) liveTables() []kvstore.Table {
+	return append([]kvstore.Table{run.transport}, run.stateTables...)
 }
 
-// checkpoint snapshots the barrier state after step `step`.
+// openCheckpoint opens what the run's checkpoints write: the meta table,
+// which no live job drops, and the free slot — the one the committed record
+// does not name. A fresh run first removes, durably, the record an earlier
+// run of the same name may have left, so it never writes into a slot that
+// record names; both its slots are then free. Opening both here, before the
+// first checkpoint, leaves every later checkpoint free of DDL.
+func (run *jobRun) openCheckpoint(fresh bool) error {
+	store := run.engine.store
+	var err error
+	if run.ckptMeta, err = kvstore.OpenOrCreate(store, ckptMetaTable(run.job.Name), kvstore.ConsistentWith(run.placement.Name())); err != nil {
+		return err
+	}
+	if fresh {
+		var found bool
+		err = run.retry(-1, -1, func() (err error) {
+			_, found, err = run.ckptMeta.Get("meta")
+			return err
+		})
+		if err == nil && found {
+			if err = run.retry(-1, -1, func() error { return run.ckptMeta.Delete("meta") }); err == nil {
+				err = kvstore.Flush(store)
+			}
+		}
+		if err == nil {
+			err = run.openSlot(1-run.ckptNext, true)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return run.openSlot(run.ckptNext, true)
+}
+
+// openSlot opens a slot's snapshot tables, each placed like the live table it
+// snapshots. The committed slot's must exist. A free slot's are made where
+// missing, and remade where an earlier run of another shape placed them
+// otherwise.
+func (run *jobRun) openSlot(slot int, free bool) error {
+	if run.ckptSlots[slot] != nil {
+		return nil
+	}
+	store := run.engine.store
+	_, names := CheckpointTables(run.job.Name, len(run.stateTables))
+	var tabs []kvstore.Table
+	for i, live := range run.liveTables() {
+		name, opt := names[slot][i], kvstore.ConsistentWith(run.placement.Name())
+		if live.Ubiquitous() {
+			opt = kvstore.Ubiquitous()
+		}
+		t, ok := store.LookupTable(name)
+		switch {
+		case !ok && !free:
+			return fmt.Errorf("%w: missing snapshot %q", ErrNoCheckpoint, name)
+		case ok && free && t.Parts() != live.Parts():
+			if err := store.DropTable(name); err != nil {
+				return err
+			}
+			fallthrough
+		case !ok:
+			var err error
+			if t, err = kvstore.OpenOrCreate(store, name, opt); err != nil {
+				return err
+			}
+		}
+		tabs = append(tabs, t)
+	}
+	run.ckptSlots[slot] = tabs
+	return nil
+}
+
+// checkpoint snapshots the barrier state after step `step` into the free
+// slot and commits it: flush the snapshot, Put the sealed record naming
+// (slot, step), flush again. The Put is the commit point. Until it lands the
+// committed record and its slot stand untouched, so a death anywhere before
+// it leaves the previous checkpoint whole.
 func (run *jobRun) checkpoint(step int, pending int64) error {
 	store := run.engine.store
-	jobName := run.job.Name
-
-	// State tables.
-	for i, t := range run.stateTables {
-		ckpt, err := recreateTable(store, ckptStateTable(jobName, i), run.placement.Name())
-		if err != nil {
-			return err
-		}
-		if err := run.copyTable(t, ckpt); err != nil {
-			return fmt.Errorf("ebsp: checkpoint state table %q: %w", t.Name(), err)
-		}
+	slot := run.ckptNext
+	if err := run.mirror(run.liveTables(), run.ckptSlots[slot]); err != nil {
+		return fmt.Errorf("ebsp: checkpoint: %w", err)
 	}
-
-	// Undelivered spills (the messages crossing the checkpointed barrier).
-	ckptSpills, err := recreateTable(store, ckptSpillTable(jobName), run.placement.Name())
-	if err != nil {
-		return err
-	}
-	if err := run.copyTable(run.transport, ckptSpills); err != nil {
-		return fmt.Errorf("ebsp: checkpoint spills: %w", err)
-	}
-
-	// Meta record last, so a complete meta implies a complete snapshot. On a
-	// buffered store the state and spill writes must reach the medium before
-	// the meta does, or a process kill could leave a meta that promises
-	// missing data — hence the flush on either side of the meta write.
 	if err := kvstore.Flush(store); err != nil {
 		return fmt.Errorf("ebsp: flush checkpoint state: %w", err)
-	}
-	meta, err := recreateTable(store, ckptMetaTable(jobName), run.placement.Name())
-	if err != nil {
-		return err
-	}
-	aggs := make(map[string]any, len(run.aggPrev))
-	for k, v := range run.aggPrev {
-		aggs[k] = v
 	}
 	sealed, err := sealMeta(checkpointMeta{
 		Step:       step,
 		Pending:    pending,
-		Aggregates: aggs,
+		Aggregates: maps.Clone(run.aggPrev),
 		Tables:     run.job.StateTables,
-		JobName:    jobName,
+		JobName:    run.job.Name,
 		MaxSteps:   run.job.MaxSteps,
 		TableHash:  tableSetHash(run.job.StateTables),
+		Slot:       slot,
 	})
 	if err != nil {
 		return fmt.Errorf("ebsp: seal checkpoint meta: %w", err)
 	}
-	if err := run.retry(-1, -1, func() error {
-		return meta.Put("meta", sealed)
-	}); err != nil {
+	if err := run.retry(-1, -1, func() error { return run.ckptMeta.Put("meta", sealed) }); err != nil {
 		return err
 	}
+	run.ckptNext = 1 - slot
 	return kvstore.Flush(store)
 }
 
-// dropCheckpoint removes a job's checkpoint tables (after successful
-// completion).
-func (run *jobRun) dropCheckpoint() {
+// dropCheckpoint removes a job's checkpoint tables after it completes, the
+// meta table first. It flushes the final state before: a buffered store that
+// died with it unflushed still has the checkpoint to resume from.
+func (run *jobRun) dropCheckpoint() error {
 	store := run.engine.store
-	jobName := run.job.Name
-	_ = store.DropTable(ckptMetaTable(jobName))
-	_ = store.DropTable(ckptSpillTable(jobName))
-	for i := range run.stateTables {
-		_ = store.DropTable(ckptStateTable(jobName, i))
+	if err := kvstore.Flush(store); err != nil {
+		return fmt.Errorf("ebsp: flush final state: %w", err)
 	}
+	meta, slots := CheckpointTables(run.job.Name, len(run.stateTables))
+	for _, name := range slices.Concat([]string{meta}, slots[0], slots[1]) {
+		_ = store.DropTable(name)
+	}
+	return nil
 }
 
 // loadCheckpoint reads the job's checkpoint meta record and validates that
@@ -209,10 +275,9 @@ func (run *jobRun) loadCheckpoint() (checkpointMeta, error) {
 	}
 	var rawMeta any
 	var found bool
-	err := run.retry(-1, -1, func() error {
-		var gerr error
-		rawMeta, found, gerr = metaTab.Get("meta")
-		return gerr
+	err := run.retry(-1, -1, func() (err error) {
+		rawMeta, found, err = metaTab.Get("meta")
+		return err
 	})
 	if err != nil {
 		return checkpointMeta{}, err
@@ -232,6 +297,9 @@ func (run *jobRun) loadCheckpoint() (checkpointMeta, error) {
 		meta = rec
 	default:
 		return checkpointMeta{}, fmt.Errorf("%w: checkpoint meta is a %T", ErrCheckpointMismatch, rawMeta)
+	}
+	if meta.Slot != 0 && meta.Slot != 1 {
+		return checkpointMeta{}, fmt.Errorf("%w: checkpoint names slot %d", ErrCheckpointMismatch, meta.Slot)
 	}
 	if len(meta.Tables) != len(job.StateTables) {
 		return checkpointMeta{}, fmt.Errorf("%w: checkpoint has %d state tables, job has %d",
@@ -260,46 +328,23 @@ func (run *jobRun) loadCheckpoint() (checkpointMeta, error) {
 }
 
 // restoreCheckpoint resets the run's state tables, transport, and aggregates
-// to the snapshot. The transport is cleared first so an in-run recovery
-// discards the failed attempt's spills; on a fresh run (Resume) the clear is
-// a no-op.
+// to the snapshot in the committed slot. Restoring replaces whatever the
+// live tables hold, so an in-run recovery discards the failed attempt's
+// writes and spills.
 func (run *jobRun) restoreCheckpoint(meta checkpointMeta) error {
-	e := run.engine
-	jobName := run.job.Name
-	for i, t := range run.stateTables {
-		ckpt, ok := e.store.LookupTable(ckptStateTable(jobName, i))
-		if !ok {
-			return fmt.Errorf("%w: missing state snapshot %d", ErrNoCheckpoint, i)
-		}
-		if err := run.clearTable(t); err != nil {
-			return err
-		}
-		if err := run.copyTable(ckpt, t); err != nil {
-			return fmt.Errorf("ebsp: restore state table %q: %w", t.Name(), err)
-		}
-	}
-	ckptSpills, ok := e.store.LookupTable(ckptSpillTable(jobName))
-	if !ok {
-		return fmt.Errorf("%w: missing spill snapshot", ErrNoCheckpoint)
-	}
-	if err := run.clearTable(run.transport); err != nil {
+	if err := run.openSlot(meta.Slot, false); err != nil {
 		return err
 	}
-	if err := run.copyTable(ckptSpills, run.transport); err != nil {
-		return fmt.Errorf("ebsp: restore spills: %w", err)
+	if err := run.mirror(run.ckptSlots[meta.Slot], run.liveTables()); err != nil {
+		return fmt.Errorf("ebsp: restore checkpoint: %w", err)
+	}
+	run.ckptNext = 1 - meta.Slot
+	if err := run.openCheckpoint(false); err != nil {
+		return err
 	}
 	run.aggPrev = make(map[string]any, len(meta.Aggregates))
-	for k, v := range meta.Aggregates {
-		run.aggPrev[k] = v
-	}
-	if run.aggResults != nil {
-		for name, v := range run.aggPrev {
-			if err := run.retry(-1, -1, func() error { return run.aggResults.Put(name, v) }); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	maps.Copy(run.aggPrev, meta.Aggregates)
+	return run.publishAggregates(-1)
 }
 
 // Resume restarts a synchronized job from its most recent checkpoint: the
@@ -321,42 +366,72 @@ func (e *Engine) ResumeContext(ctx context.Context, job *Job) (*Result, error) {
 	return e.execute(ctx, job, true)
 }
 
-// recreateTable drops and recreates a table consistently partitioned with
-// the placement table.
-func recreateTable(store kvstore.Store, name, consistentWith string) (kvstore.Table, error) {
-	if _, ok := store.LookupTable(name); ok {
-		if err := store.DropTable(name); err != nil {
-			return nil, err
-		}
-	}
-	t, err := store.CreateTable(name, kvstore.ConsistentWith(consistentWith))
-	if err != nil {
-		return nil, fmt.Errorf("ebsp: create checkpoint table %q: %w", name, err)
-	}
-	return t, nil
-}
-
-// copyTable copies every pair from src to dst, retrying each put's
-// transient failures.
-func (run *jobRun) copyTable(src, dst kvstore.Table) error {
-	return kvstore.EnumerateAll(src, func(k, v any) (bool, error) {
-		return false, run.retry(-1, -1, func() error { return dst.Put(k, v) })
+// mirror makes each dst table hold exactly the pairs of the src table at the
+// same index: one agent per part of the placement table, all parts at once,
+// each retried whole. An agent deletes the destination keys its source part
+// lacks and puts a deep copy of every source pair, since part views may hand
+// out the stored value itself. A ubiquitous table, which every part sees, is
+// copied by part 0's agent alone. Checkpoint mirrors the live tables into a
+// slot; restore mirrors the slot back.
+func (run *jobRun) mirror(src, dst []kvstore.Table) error {
+	_, err := fanOut(run.parts, func(p int) (any, error) {
+		return nil, run.retry(-1, -1, func() error {
+			_, err := run.engine.store.RunAgent(run.placement.Name(), p, func(sv kvstore.ShardView) (any, error) {
+				for i := range src {
+					if p > 0 && src[i].Ubiquitous() {
+						continue
+					}
+					if err := mirrorPart(sv, src[i].Name(), dst[i].Name()); err != nil {
+						return nil, err
+					}
+				}
+				return nil, nil
+			})
+			return err
+		})
 	})
+	return err
 }
 
-// clearTable deletes every pair of a table, retrying each delete's
-// transient failures.
-func (run *jobRun) clearTable(t kvstore.Table) error {
-	keys := make([]any, 0)
-	if err := kvstore.EnumerateAll(t, func(k, _ any) (bool, error) {
-		keys = append(keys, k)
+// mirrorPart makes the agent's part of table dst hold exactly the pairs of
+// its part of table src, walking both in key order.
+func mirrorPart(sv kvstore.ShardView, src, dst string) error {
+	from, err := sv.View(src)
+	if err != nil {
+		return err
+	}
+	to, err := sv.View(dst)
+	if err != nil {
+		return err
+	}
+	var keys, vals []any
+	if err := from.EnumerateOrdered(func(k, v any) (bool, error) {
+		c, err := codec.DeepCopy(v)
+		keys, vals = append(keys, k), append(vals, c)
+		return false, err
+	}); err != nil {
+		return err
+	}
+	var stale []any
+	i := 0
+	if err := to.EnumerateOrdered(func(k, _ any) (bool, error) {
+		for i < len(keys) && codec.CompareKeys(keys[i], k) < 0 {
+			i++
+		}
+		if i == len(keys) || codec.CompareKeys(keys[i], k) != 0 {
+			stale = append(stale, k)
+		}
 		return false, nil
 	}); err != nil {
 		return err
 	}
-	sort.Slice(keys, func(i, j int) bool { return codec.CompareKeys(keys[i], keys[j]) < 0 })
-	for _, k := range keys {
-		if err := run.retry(-1, -1, func() error { return t.Delete(k) }); err != nil {
+	for _, k := range stale {
+		if err := to.Delete(k); err != nil {
+			return err
+		}
+	}
+	for j, k := range keys {
+		if err := to.Put(k, vals[j]); err != nil {
 			return err
 		}
 	}

@@ -222,13 +222,7 @@ func TestCheckpointSurvivesProcessRestartOnDiskStore(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = s2.Close() })
 	// Reopen the tables the job and its checkpoint used.
-	for _, tn := range []string{
-		name + "_state", ckptMetaTable(name), ckptSpillTable(name), ckptStateTable(name, 0),
-	} {
-		if _, err := s2.CreateTable(tn, kvstore.WithParts(2)); err != nil {
-			t.Fatalf("reopen %q: %v", tn, err)
-		}
-	}
+	reopenCheckpoint(t, s2, checkpointChainJob(name, 12, nil), 2, []bool{false})
 	e2 := NewEngine(s2, WithCheckpoints(2))
 	res, err := e2.Resume(checkpointChainJob(name, 12, nil))
 	if err != nil {

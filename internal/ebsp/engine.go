@@ -39,7 +39,7 @@ type Engine struct {
 
 	// Active job names: one execution (Run or Resume) per job name at a
 	// time on one engine. Two same-named executions would fight over the
-	// job's checkpoint tables (__ckpt.<name>.*) and, for Resume, restore a
+	// job's checkpoint tables (CheckpointTables) and, for Resume, restore a
 	// snapshot into state tables another run is actively mutating; the
 	// second caller gets ErrJobBusy instead.
 	activeMu sync.Mutex
@@ -201,6 +201,10 @@ type jobRun struct {
 	metaTable   kvstore.Table // fast recovery: part -> completed step
 	aggPartials kvstore.Table // large-aggregator-set path: per-part partials
 	aggResults  kvstore.Table // large-aggregator-set path: ubiquitous results
+
+	ckptMeta  kvstore.Table      // checkpoint meta table, once opened
+	ckptSlots [2][]kvstore.Table // each slot's snapshot tables, once opened
+	ckptNext  int                // the slot the next checkpoint writes
 
 	aggPrev map[string]any // results of previous step's aggregation
 
@@ -412,7 +416,7 @@ func (run *jobRun) setupTraceContext() {
 func (run *jobRun) setupTables() error {
 	e := run.engine
 	job := run.job
-	prefix := fmt.Sprintf("__ebsp.%s.%d", job.Name, run.runID)
+	var err error
 
 	// Resolve placement.
 	placementName := job.Placement
@@ -429,28 +433,21 @@ func (run *jobRun) setupTables() error {
 	}
 	if placementName == "" {
 		// Pure-message job: private placement table.
-		name := prefix + ".placement"
-		t, err := e.store.CreateTable(name, kvstore.WithParts(job.PartsHint))
-		if err != nil {
-			return fmt.Errorf("ebsp: create placement table: %w", err)
-		}
-		run.placement = t
-		run.privateTables = append(run.privateTables, name)
+		run.placement, err = run.privateTable("placement", kvstore.WithParts(job.PartsHint))
 	} else {
 		// The placement (or first state) table may not exist yet: create
 		// it, honoring PartsHint (0 is the store's default).
-		t, err := openOrCreate(e.store, placementName, kvstore.WithParts(job.PartsHint))
-		if err != nil {
-			return err
-		}
-		run.placement = t
+		run.placement, err = kvstore.OpenOrCreate(e.store, placementName, kvstore.WithParts(job.PartsHint))
+	}
+	if err != nil {
+		return err
 	}
 	run.parts = run.placement.Parts()
 
 	// Open or create the state tables, consistently partitioned with the
 	// placement table.
 	for _, name := range job.StateTables {
-		t, err := openOrCreate(e.store, name, kvstore.ConsistentWith(run.placement.Name()))
+		t, err := kvstore.OpenOrCreate(e.store, name, kvstore.ConsistentWith(run.placement.Name()))
 		if err != nil {
 			return err
 		}
@@ -471,45 +468,27 @@ func (run *jobRun) setupTables() error {
 
 	// Private transport table (sync path only, but cheap to create).
 	if run.strategy.Sync {
-		name := prefix + ".transport"
-		t, err := e.store.CreateTable(name, kvstore.ConsistentWith(run.placement.Name()))
-		if err != nil {
-			return fmt.Errorf("ebsp: create transport table: %w", err)
+		if run.transport, err = run.privateTable("transport", kvstore.ConsistentWith(run.placement.Name())); err != nil {
+			return err
 		}
-		run.transport = t
-		run.privateTables = append(run.privateTables, name)
 	}
 
 	// Completed-step table for fast recovery.
 	if run.strategy.FastRecovery {
-		name := prefix + ".meta"
-		t, err := e.store.CreateTable(name, kvstore.ConsistentWith(run.placement.Name()))
-		if err != nil {
-			return fmt.Errorf("ebsp: create meta table: %w", err)
-		}
-		run.metaTable = t
-		run.privateTables = append(run.privateTables, name)
+		run.metaTable, err = run.privateTable("meta", kvstore.ConsistentWith(run.placement.Name()))
 	}
-	return nil
+	return err
 }
 
-// openOrCreate looks a table up and creates it on a miss. Another engine
-// running the same job name may create it between the two calls; its
-// ErrTableExists means the table is there now, so look it up again. Lookup
-// comes first because most runs find their tables already present.
-func openOrCreate(store kvstore.Store, name string, opts ...kvstore.TableOption) (kvstore.Table, error) {
-	if t, ok := store.LookupTable(name); ok {
-		return t, nil
-	}
-	t, err := store.CreateTable(name, opts...)
-	if errors.Is(err, kvstore.ErrTableExists) {
-		if t, ok := store.LookupTable(name); ok {
-			return t, nil
-		}
-	}
+// privateTable creates the run's table __ebsp.<job>.<run>.<suffix>, which
+// cleanup drops.
+func (run *jobRun) privateTable(suffix string, opts ...kvstore.TableOption) (kvstore.Table, error) {
+	name := fmt.Sprintf("__ebsp.%s.%d.%s", run.job.Name, run.runID, suffix)
+	t, err := run.engine.store.CreateTable(name, opts...)
 	if err != nil {
-		return nil, fmt.Errorf("ebsp: create table %q: %w", name, err)
+		return nil, fmt.Errorf("ebsp: create %s table: %w", suffix, err)
 	}
+	run.privateTables = append(run.privateTables, name)
 	return t, nil
 }
 

@@ -3,7 +3,9 @@ package ebsp
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,6 +54,9 @@ func (run *jobRun) runSync(lc *LoadContext) (*Result, error) {
 	// a failover before the first periodic checkpoint can still heal-and-
 	// rerun instead of failing the job.
 	if run.engine.checkpointEvery > 0 {
+		if err := run.openCheckpoint(true); err != nil {
+			return nil, err
+		}
 		if err := run.checkpoint(0, int64(len(lc.envs))); err != nil {
 			return nil, err
 		}
@@ -67,25 +72,24 @@ func (run *jobRun) setupAggTables() error {
 	if len(run.job.Aggregators) <= run.engine.aggTabTh {
 		return nil
 	}
-	partialsName := run.transport.Name() + ".aggpartials"
-	t, err := run.engine.store.CreateTable(partialsName, kvstore.ConsistentWith(run.placement.Name()))
-	if err != nil {
-		return fmt.Errorf("ebsp: create aggregation table: %w", err)
+	var err error
+	if run.aggPartials, err = run.privateTable("transport.aggpartials", kvstore.ConsistentWith(run.placement.Name())); err != nil {
+		return err
 	}
-	run.privateTables = append(run.privateTables, partialsName)
-	run.aggPartials = t
+	if run.aggResults, err = run.privateTable("transport.aggresults", kvstore.Ubiquitous()); err != nil {
+		return err
+	}
+	return run.publishAggregates(-1)
+}
 
-	resultsName := run.transport.Name() + ".aggresults"
-	aggResults, err := run.engine.store.CreateTable(resultsName, kvstore.Ubiquitous())
-	if err != nil {
-		return fmt.Errorf("ebsp: create aggregation results table: %w", err)
+// publishAggregates writes the readable aggregator results, run.aggPrev, to
+// the ubiquitous results table on the large-aggregator-set path.
+func (run *jobRun) publishAggregates(step int) error {
+	if run.aggResults == nil {
+		return nil
 	}
-	run.privateTables = append(run.privateTables, resultsName)
-	run.aggResults = aggResults
 	for name, v := range run.aggPrev {
-		if err := run.retry(-1, -1, func() error {
-			return aggResults.Put(name, v)
-		}); err != nil {
+		if err := run.retry(step, -1, func() error { return run.aggResults.Put(name, v) }); err != nil {
 			return err
 		}
 	}
@@ -141,13 +145,9 @@ func (run *jobRun) syncLoop(completedStep int, pending int64) (*Result, error) {
 		}
 		if run.aggResults != nil {
 			run.engine.metrics.AddAggregationRounds(1)
-			for name, v := range aggs {
-				if err := run.retry(step, -1, func() error {
-					return run.aggResults.Put(name, v)
-				}); err != nil {
-					return nil, err
-				}
-			}
+		}
+		if err := run.publishAggregates(step); err != nil {
+			return nil, err
 		}
 		// Checkpoint before consulting the aborter, so an aborted job can
 		// still be resumed from this barrier.
@@ -170,7 +170,9 @@ func (run *jobRun) syncLoop(completedStep int, pending int64) (*Result, error) {
 		pending = emitted
 	}
 	if run.engine.checkpointEvery > 0 && !aborted {
-		run.dropCheckpoint()
+		if err := run.dropCheckpoint(); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Steps: steps, Aggregates: run.aggPrev, Aborted: aborted}, nil
 }
@@ -190,30 +192,16 @@ func (run *jobRun) writeInitialSpills(lc *LoadContext) error {
 		dst := run.placement.PartOf(env.Dst)
 		byDst[dst] = append(byDst[dst], env)
 	}
-	dsts := make([]int, 0, len(byDst))
-	for dst := range byDst {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	errs := make([]error, len(dsts))
-	var wg sync.WaitGroup
-	for i, dst := range dsts {
-		wg.Add(1)
-		go func(i, dst int) {
-			defer wg.Done()
-			// Attributed to (step 1, dst): the fault delays that part's
-			// step-1 input.
-			errs[i] = run.retry(1, dst, func() error {
-				return run.transport.Put(spillKey{Step: 1, Dst: dst, Src: -1}, byDst[dst])
-			})
-		}(i, dst)
-		run.engine.metrics.AddSpills(1)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("ebsp: initial spill: %w", err)
-		}
+	dsts := slices.Sorted(maps.Keys(byDst))
+	run.engine.metrics.AddSpills(int64(len(dsts)))
+	if _, err := fanOut(len(dsts), func(i int) (any, error) {
+		// Attributed to (step 1, dst): the fault delays that part's step-1
+		// input.
+		return nil, run.retry(1, dsts[i], func() error {
+			return run.transport.Put(spillKey{Step: 1, Dst: dsts[i], Src: -1}, byDst[dsts[i]])
+		})
+	}); err != nil {
+		return fmt.Errorf("ebsp: initial spill: %w", err)
 	}
 	// lc.envs also carries Enable markers (kindContinue) and CreateState
 	// requests; only the loader's actual messages count as sent.
@@ -282,8 +270,8 @@ func (run *jobRun) execStep(step int) (int64, map[string]any, error) {
 
 // fanOut runs f for slots 0..n-1 concurrently and returns their results, or
 // the lowest-numbered slot's error.
-func fanOut(n int, f func(slot int) (*partStepResult, error)) ([]*partStepResult, error) {
-	results := make([]*partStepResult, n)
+func fanOut[T any](n int, f func(slot int) (T, error)) ([]T, error) {
+	results := make([]T, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

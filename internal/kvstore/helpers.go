@@ -1,9 +1,31 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
+
+// OpenOrCreate looks a table up and creates it with opts on a miss. Another
+// client may create it between the two calls; its ErrTableExists means the
+// table is there now, so look it up again. On a store that keeps tables
+// across restarts (diskstore), creating a table reopens what it holds.
+// Lookup comes first because most callers find their tables present.
+func OpenOrCreate(store Store, name string, opts ...TableOption) (Table, error) {
+	if t, ok := store.LookupTable(name); ok {
+		return t, nil
+	}
+	t, err := store.CreateTable(name, opts...)
+	if errors.Is(err, ErrTableExists) {
+		if t, ok := store.LookupTable(name); ok {
+			return t, nil
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: create table %q: %w", name, err)
+	}
+	return t, nil
+}
 
 // PartConsumerFuncs adapts plain functions to the PartConsumer interface.
 type PartConsumerFuncs struct {
@@ -75,17 +97,11 @@ func (p PairConsumerFuncs) Combine(a, b any) (any, error) {
 // Dump copies an entire table into a map. Keys must be comparable. Intended
 // for tests, examples, and result export — not hot paths.
 func Dump(t Table) (map[any]any, error) {
-	var mu sync.Mutex
 	out := make(map[any]any)
-	_, err := t.EnumeratePairs(PairConsumerFuncs{
-		ConsumeFn: func(k, v any) (bool, error) {
-			mu.Lock()
-			out[k] = v
-			mu.Unlock()
-			return false, nil
-		},
-	})
-	if err != nil {
+	if err := EnumerateAll(t, func(k, v any) (bool, error) {
+		out[k] = v
+		return false, nil
+	}); err != nil {
 		return nil, fmt.Errorf("kvstore: dump %s: %w", t.Name(), err)
 	}
 	return out, nil

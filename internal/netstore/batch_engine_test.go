@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -480,4 +481,51 @@ func endpointCounts(m *metrics.Collector) map[string]int64 {
 		out[op] = snap.Count
 	}
 	return out
+}
+
+// TestCheckpointRPCBudget pins the frames of one checkpoint over a 3-server,
+// 2-replica fleet. Each of the 6 parts' agents reads the live and snapshot
+// parts of the spill and state tables (4 snapshot frames) and sends one
+// put_batch per replica for each table it has pairs to write; then the meta
+// Put goes to both replicas: 6*4 + 6*2*2 + 2 = 50 frames. At step 2 one
+// part has neither spills nor an older snapshot, so 48. A checkpoint is what
+// the engine does between a due step's observer call and its aborter call.
+// When each pair crossed the table handle, the same three checkpoints made
+// 68, 92 and 114 frames, growing with the pairs copied.
+func TestCheckpointRPCBudget(t *testing.T) {
+	const parts = 6
+	want := []int64{48, 50, 50}
+	m := &metrics.Collector{}
+	c := startLoopFleet(t, 3).dial(nil, netstore.WithMetrics(m))
+	if _, err := c.CreateTable("ck_state", kvstore.WithParts(parts)); err != nil {
+		t.Fatal(err)
+	}
+	var at int64
+	var frames []int64
+	job := &ebsp.Job{
+		Name:        "ck",
+		StateTables: []string{"ck_state"},
+		Compute: ebsp.ComputeFunc(func(ctx *ebsp.Context) bool {
+			k := ctx.Key().(int)
+			ctx.WriteState(0, ctx.StepNum())
+			if ctx.StepNum() < 8 {
+				ctx.Send((k+7)%60, 1)
+			}
+			return false
+		}),
+		Loaders: []ebsp.Loader{&ebsp.EnableLoader{Keys: []any{0, 10, 20, 30, 40, 50}}},
+		Aborter: ebsp.AborterFunc(func(step int, _ map[string]any) bool {
+			if step%2 == 0 && step < 8 { // step 8 sends nothing and takes no checkpoint
+				frames = append(frames, m.Snapshot().RPCCalls-at)
+			}
+			return false
+		}),
+	}
+	observe := ebsp.WithObserver(ebsp.StepObserverFunc(func(ebsp.StepInfo) { at = m.Snapshot().RPCCalls }))
+	if _, err := ebsp.NewEngine(c, ebsp.WithCheckpoints(2), observe).Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(frames, want) {
+		t.Errorf("checkpoints at steps 2, 4, 6: %v frames, want %v", frames, want)
+	}
 }

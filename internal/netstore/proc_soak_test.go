@@ -190,11 +190,16 @@ func TestProcessKillSoak(t *testing.T) {
 
 	// The chaos plan: SIGKILL server 1 mid-run (respawned on the same port
 	// ~200ms later, empty), and a one-way c2s partition against server 2
-	// opening at its 1200th data frame. Both fire well inside the waves.
+	// opening at its 420th data frame. Both fire well inside the waves. A
+	// fault-free run sends servers 1 and 2 about 760 frames each, ~94 per
+	// wave. Frame 340 of server 1 is in step 1 of Init's fourth wave, after
+	// its step-0 checkpoint commits (frame 325) and before its last step
+	// (363). Frame 420 of server 2 is where the batch's first wave commits
+	// its step-0 checkpoint (419).
 	inj := chaos.NewInjector(chaos.Schedule{
 		Seed:       3,
-		NetKills:   []chaos.NetKill{{Server: 1, AfterFrames: 900}},
-		Partitions: []chaos.Partition{{C2S: true, Server: 2, FromFrame: 1200, Frames: 200}},
+		NetKills:   []chaos.NetKill{{Server: 1, AfterFrames: 340}},
+		Partitions: []chaos.Partition{{C2S: true, Server: 2, FromFrame: 420, Frames: 200}},
 	})
 	inj.OnNetKill(func(server int) {
 		mu.Lock()

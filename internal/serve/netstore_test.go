@@ -123,8 +123,13 @@ func TestNetstoreChaosKillUnderSSE(t *testing.T) {
 	var killed atomic.Int32
 	var client *netstore.Client
 	inj := chaos.NewInjector(chaos.Schedule{
-		Seed:     3,
-		NetKills: []chaos.NetKill{{Server: 1, AfterFrames: 150}},
+		Seed: 3,
+		// A fault-free run of the job sends server 1 about 113 frames. Its
+		// step-6 checkpoint commits at frame 61 and its last step starts at
+		// 103, so frame 70 lands mid-run with a checkpoint to recover from.
+		// (Frame 50, in step 6's spills, failed 1 run in 60-100: a spill Put
+		// sent before the kill was sensed reached the empty respawn.)
+		NetKills: []chaos.NetKill{{Server: 1, AfterFrames: 70}},
 	})
 	// Fires from the client's send path, so client is set by then.
 	inj.OnNetKill(func(server int) {

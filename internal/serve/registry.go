@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -81,33 +82,17 @@ func dropTables(store kvstore.Store, names ...string) {
 	}
 }
 
-// ckptTables names the checkpoint tables Engine.Resume looks for — they must
-// be reopened (log replay) before resuming over a restarted log-backed store.
-func ckptTables(bspName string, stateTables int) []string {
-	out := []string{
-		fmt.Sprintf("__ckpt.%s.meta", bspName),
-		fmt.Sprintf("__ckpt.%s.spills", bspName),
-	}
-	for i := 0; i < stateTables; i++ {
-		out = append(out, fmt.Sprintf("__ckpt.%s.state.%d", bspName, i))
-	}
-	return out
-}
-
 // reopenForResume re-creates the job's tables on a store that lost its
 // in-memory directory (daemon restart over a disk store): the state table
 // with its recorded part count, then the checkpoint tables partitioned
 // consistently with it. On stores that kept the tables this is a no-op.
 func reopenForResume(store kvstore.Store, stateTable string, parts int, bspName string) error {
-	if _, err := ensureTable(store, stateTable, parts); err != nil {
+	if _, err := kvstore.OpenOrCreate(store, stateTable, kvstore.WithParts(parts)); err != nil {
 		return err
 	}
-	for _, name := range ckptTables(bspName, 1) {
-		if _, ok := store.LookupTable(name); ok {
-			continue
-		}
-		if _, err := store.CreateTable(name, kvstore.ConsistentWith(stateTable)); err != nil &&
-			!errors.Is(err, kvstore.ErrTableExists) {
+	meta, slots := ebsp.CheckpointTables(bspName, 1)
+	for _, name := range slices.Concat([]string{meta}, slots[0], slots[1]) {
+		if _, err := kvstore.OpenOrCreate(store, name, kvstore.ConsistentWith(stateTable)); err != nil {
 			return err
 		}
 	}
@@ -208,8 +193,9 @@ func runPageRank(env RunEnv) (any, error) {
 		}
 	}
 	if res == nil {
+		// A stale checkpoint of bspName is the engine's to clear: a fresh
+		// Run removes its record before it writes a snapshot.
 		dropTables(env.Store, graphTable)
-		dropTables(env.Store, ckptTables(bspName, 1)...)
 		g, err := workload.PowerLawDirected(workload.DeriveRand(p.Seed, "pagerank."+env.JobID),
 			p.Vertices, p.Edges, p.Zipf)
 		if err != nil {

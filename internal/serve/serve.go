@@ -170,7 +170,7 @@ func New(opts Options) (*Service, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	tab, err := ensureTable(opts.Store, jobsTable, 1)
+	tab, err := kvstore.OpenOrCreate(opts.Store, jobsTable, kvstore.WithParts(1))
 	if err != nil {
 		return nil, fmt.Errorf("serve: open jobs table: %w", err)
 	}
@@ -185,26 +185,6 @@ func New(opts Options) (*Service, error) {
 		baseCtx: ctx,
 		stop:    stop,
 	}, nil
-}
-
-// ensureTable opens name, creating it (parts > 0 sets the part count) when
-// absent. On a log-backed store, creation replays any surviving log — this
-// is the restart-recovery path for both the jobs table and workload tables.
-func ensureTable(store kvstore.Store, name string, parts int) (kvstore.Table, error) {
-	if t, ok := store.LookupTable(name); ok {
-		return t, nil
-	}
-	var opts []kvstore.TableOption
-	if parts > 0 {
-		opts = append(opts, kvstore.WithParts(parts))
-	}
-	t, err := store.CreateTable(name, opts...)
-	if err != nil && errors.Is(err, kvstore.ErrTableExists) {
-		if t, ok := store.LookupTable(name); ok {
-			return t, nil
-		}
-	}
-	return t, err
 }
 
 // Start loads persisted job records, re-queues interrupted work, and starts
