@@ -118,11 +118,11 @@ soak-net:
 		./internal/netstore/ ./internal/chaos/
 
 # Flake guard: the tests that race engines, Run/Resume callers, checkpoint
-# copy agents or WAL writers against each other, twenty times each under the
-# race detector, so a once-in-fifty interleaving fails here instead of in a
-# later change's run.
+# copy agents, no-sync workers publishing their telemetry, or WAL writers
+# against each other, twenty times each under the race detector, so a
+# once-in-fifty interleaving fails here instead of in a later change's run.
 flake-guard:
 	$(GO) test -race -count=20 \
-		-run '^(TestSameJobNameTwoEnginesOneStore|TestBusyGuardUnderChurn|TestResumeWhileRunningReturnsBusy|TestCheckpointSurvivesDeathAtEveryCall)$$' \
+		-run '^(TestSameJobNameTwoEnginesOneStore|TestBusyGuardUnderChurn|TestResumeWhileRunningReturnsBusy|TestCheckpointSurvivesDeathAtEveryCall|TestTelemetryGolden)$$' \
 		./internal/ebsp/
 	$(GO) test -race -count=20 -run '^TestGroupCommitBatchesConcurrentWriters$$' ./internal/diskstore/

@@ -703,3 +703,70 @@ func TestCheckpointBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestPlacementSkipsUbiquitousTables runs goldenJob to completion on every
+// store with both of its tables created beforehand, with only the
+// ubiquitous one, and with neither: a ubiquitous table has no parts to place
+// the job at, so which tables exist must not change the answer. A job that
+// names a ubiquitous table as its placement is refused.
+func TestPlacementSkipsUbiquitousTables(t *testing.T) {
+	const name, parts = "golden", 4
+	const want = "8205c719d4077572baab7b0d2db47bcd62991af54e367796ec0d45ddf52d9a52"
+	tables := goldenJob(name, nil).StateTables
+	stores := []struct {
+		name string
+		new  func() kvstore.Store
+	}{
+		{"memstore", func() kvstore.Store { return memstore.New(memstore.WithParts(parts)) }},
+		{"gridstore", func() kvstore.Store {
+			return gridstore.New(gridstore.WithParts(parts), gridstore.WithReplicas(2))
+		}},
+		{"netstore", func() kvstore.Store { return dialTestFleet(t, 3) }},
+		{"diskstore", func() kvstore.Store {
+			s, err := diskstore.New(t.TempDir(), diskstore.WithParts(parts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	}
+	for _, s := range stores {
+		for _, pre := range []struct {
+			name       string
+			part, ubiq bool
+		}{{"both", true, true}, {"ubiquitous-only", false, true}, {"neither", false, false}} {
+			t.Run(s.name+"/"+pre.name, func(t *testing.T) {
+				store := s.new()
+				t.Cleanup(func() { _ = store.Close() })
+				if pre.part {
+					if _, err := store.CreateTable(tables[0], kvstore.WithParts(parts)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if pre.ubiq {
+					if _, err := store.CreateTable(tables[1], kvstore.Ubiquitous()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := NewEngine(store).Run(goldenJob(name, nil)); err != nil {
+					t.Fatal(err)
+				}
+				if got := storeDigest(t, store, tables[0], tables...); got != want {
+					t.Errorf("tables digest to %s, want %s", got, want)
+				}
+			})
+		}
+	}
+	t.Run("explicit-ubiquitous-placement", func(t *testing.T) {
+		store := memstore.New(memstore.WithParts(parts))
+		t.Cleanup(func() { _ = store.Close() })
+		if _, err := store.CreateTable(tables[1], kvstore.Ubiquitous()); err != nil {
+			t.Fatal(err)
+		}
+		job := goldenJob(name, nil)
+		job.Placement = tables[1]
+		if _, err := NewEngine(store).Run(job); !errors.Is(err, ErrBadJob) {
+			t.Errorf("placement on a ubiquitous table: err = %v, want ErrBadJob", err)
+		}
+	})
+}

@@ -5,79 +5,41 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ripple/internal/codec"
 	"ripple/internal/kvstore"
 )
 
-// stateAccess abstracts where a compute invocation's state lives: local part
-// views (the normal, collocated case) or remote table handles (run-anywhere
-// work stealing, where the invocation may execute away from its state).
-type stateAccess interface {
-	get(tab int, key any) (any, bool, error)
-	put(tab int, key, value any) error
-	delete(tab int, key any) error
+// kvAccess is the key/value surface a part view and a table handle share.
+type kvAccess interface {
+	Get(key any) (any, bool, error)
+	Put(key, value any) error
+	Delete(key any) error
 }
 
-// localState reads and writes through collocated part views.
-type localState struct {
-	views []kvstore.PartView
+// slotState is where an execution slot's invocations read and write their
+// state: collocated part views (the normal case), or whole-table handles
+// under run-anywhere, where an invocation may execute away from its state.
+// Every access is counted in the slot's record; deletes count as puts (both
+// are writes).
+type slotState struct {
+	tabs []kvAccess
+	rec  *partStepResult
 }
 
-func (ls *localState) get(tab int, key any) (any, bool, error) {
-	return ls.views[tab].Get(key)
+func (s *slotState) get(tab int, key any) (any, bool, error) {
+	s.rec.gets++
+	return s.tabs[tab].Get(key)
 }
 
-func (ls *localState) put(tab int, key, value any) error {
-	return ls.views[tab].Put(key, value)
+func (s *slotState) put(tab int, key, value any) error {
+	s.rec.puts++
+	return s.tabs[tab].Put(key, value)
 }
 
-func (ls *localState) delete(tab int, key any) error {
-	return ls.views[tab].Delete(key)
-}
-
-// countingState wraps a stateAccess with per-part get/put counters for the
-// step profiler; installed only while a profiler is attached so the unprofiled
-// path pays nothing. Deletes count as puts (both are writes).
-type countingState struct {
-	inner stateAccess
-	gets  atomic.Int64
-	puts  atomic.Int64
-}
-
-func (cs *countingState) get(tab int, key any) (any, bool, error) {
-	cs.gets.Add(1)
-	return cs.inner.get(tab, key)
-}
-
-func (cs *countingState) put(tab int, key, value any) error {
-	cs.puts.Add(1)
-	return cs.inner.put(tab, key, value)
-}
-
-func (cs *countingState) delete(tab int, key any) error {
-	cs.puts.Add(1)
-	return cs.inner.delete(tab, key)
-}
-
-// remoteState reads and writes through whole-table handles (crossing
-// partition boundaries); used only under run-anywhere, where the job declared
-// rare-state.
-type remoteState struct {
-	tables []kvstore.Table
-}
-
-func (rs *remoteState) get(tab int, key any) (any, bool, error) {
-	return rs.tables[tab].Get(key)
-}
-
-func (rs *remoteState) put(tab int, key, value any) error {
-	return rs.tables[tab].Put(key, value)
-}
-
-func (rs *remoteState) delete(tab int, key any) error {
-	return rs.tables[tab].Delete(key)
+func (s *slotState) delete(tab int, key any) error {
+	s.rec.puts++
+	return s.tabs[tab].Delete(key)
 }
 
 // Context is the ComputeContext of paper Listing 3: a compute invocation's
@@ -95,7 +57,7 @@ type Context struct {
 	msgs      []any
 	continued bool // enabled via continue signal (not only messages)
 
-	state     stateAccess
+	state     *slotState
 	writeback map[int]any // ReadWriteState registrations
 
 	out       outSink
@@ -246,22 +208,18 @@ type outSink interface {
 
 // outBuffer accumulates one execution slot's outgoing envelopes, batched per
 // destination part, plus its direct output. It also performs sender-side
-// pairwise combining when the job has a message combiner.
+// pairwise combining when the job has a message combiner. What it emits,
+// combines and writes is counted in the slot's record; an envelope's Seq is
+// the number of envelopes the slot emitted before it.
 type outBuffer struct {
 	srcPart  int
-	parts    int
 	partOf   func(key any) int
 	combiner MessageCombiner
+	rec      *partStepResult
 
-	batches   map[int][]envelope
-	dataIdx   map[int]map[any]int // dstPart -> key -> index of data envelope
-	seq       int
-	count     int64 // envelopes added (post-combining), all kinds
-	data      int64 // kindData envelopes only (drives messages_sent)
-	combined  int64 // messages eliminated by sender-side combining
-	bytes     int64 // encoded size of cross-part batches (profiling only)
-	direct    []kvPair
-	createSet int64
+	batches map[int][]envelope
+	dataIdx map[int]map[any]int // dstPart -> key -> index of data envelope
+	direct  []kvPair
 
 	// trace/span are the causal context stamped into every outgoing
 	// envelope; zero for unsampled runs (and then never written to the
@@ -275,12 +233,12 @@ type kvPair struct {
 	key, value any
 }
 
-func newOutBuffer(srcPart, parts int, partOf func(any) int, combiner MessageCombiner) *outBuffer {
+func newOutBuffer(srcPart int, partOf func(any) int, combiner MessageCombiner, rec *partStepResult) *outBuffer {
 	return &outBuffer{
 		srcPart:  srcPart,
-		parts:    parts,
 		partOf:   partOf,
 		combiner: combiner,
+		rec:      rec,
 		batches:  make(map[int][]envelope),
 		dataIdx:  make(map[int]map[any]int),
 	}
@@ -292,6 +250,7 @@ func (b *outBuffer) add(env envelope, run *jobRun) {
 	if b.trace != 0 {
 		env.Trace, env.Span = b.trace, b.span
 	}
+	env.Seq = int(b.rec.emitted)
 	if env.Kind == kindData && b.combiner != nil && keyComparable(env.Dst) {
 		idx := b.dataIdx[dst]
 		if idx == nil {
@@ -301,26 +260,16 @@ func (b *outBuffer) add(env envelope, run *jobRun) {
 		if i, ok := idx[env.Dst]; ok {
 			prev := &b.batches[dst][i]
 			prev.Val = b.combiner.CombineMessages(env.Dst, prev.Val, env.Val)
-			b.combined++
+			b.rec.merged++
 			return
 		}
-		env.Seq = b.seq
-		b.seq++
-		b.batches[dst] = append(b.batches[dst], env)
-		idx[env.Dst] = len(b.batches[dst]) - 1
-		b.count++
-		b.data++
-		return
+		idx[env.Dst] = len(b.batches[dst])
 	}
-	env.Seq = b.seq
-	b.seq++
 	b.batches[dst] = append(b.batches[dst], env)
-	b.count++
+	b.rec.emitted++
+	// Continue/create markers ride the same spills but are not messages.
 	if env.Kind == kindData {
-		b.data++
-	}
-	if env.Kind == kindCreate {
-		b.createSet++
+		b.rec.sent++
 	}
 }
 
@@ -412,7 +361,6 @@ func probeComparable(k any) (ok bool) {
 // in parallel — remote writes overlap, the way a real BSP implementation
 // overlaps its end-of-step sends.
 func (b *outBuffer) flushSpills(run *jobRun, step int, transport kvstore.Table, local kvstore.PartView) error {
-	m := run.engine.metrics
 	dsts := make([]int, 0, len(b.batches))
 	for dst := range b.batches {
 		dsts = append(dsts, dst)
@@ -430,7 +378,7 @@ func (b *outBuffer) flushSpills(run *jobRun, step int, transport kvstore.Table, 
 			if err := local.Put(key, batch); err != nil {
 				return fmt.Errorf("ebsp: write spill %+v: %w", key, err)
 			}
-			m.AddSpills(1)
+			b.rec.spills++
 			continue
 		}
 		payload := any(batch)
@@ -442,7 +390,7 @@ func (b *outBuffer) flushSpills(run *jobRun, step int, transport kvstore.Table, 
 			// encode failure fall through with the raw batch so the store
 			// surfaces the error the same way it always has.
 			if enc, err := codec.PreEncode(batch); err == nil {
-				b.bytes += int64(enc.Size())
+				b.rec.bytes += int64(enc.Size())
 				payload = enc
 			}
 		}
@@ -456,7 +404,7 @@ func (b *outBuffer) flushSpills(run *jobRun, step int, transport kvstore.Table, 
 				return transport.Put(key, payload)
 			})
 		}(i, dst, key, payload)
-		m.AddSpills(1)
+		b.rec.spills++
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -464,10 +412,6 @@ func (b *outBuffer) flushSpills(run *jobRun, step int, transport kvstore.Table, 
 			return fmt.Errorf("ebsp: write spill to part %d: %w", dsts[i], err)
 		}
 	}
-	// Only data envelopes are messages; continue/create markers ride the
-	// same spills but must not inflate the messages_sent counter.
-	m.AddMessagesSent(b.data)
-	m.AddMessagesCombined(b.combined)
 	return nil
 }
 

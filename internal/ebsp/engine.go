@@ -420,23 +420,17 @@ func (run *jobRun) setupTables() error {
 
 	// Resolve placement.
 	placementName := job.Placement
-	if placementName == "" && len(job.StateTables) > 0 {
-		for _, name := range job.StateTables {
-			if _, ok := e.store.LookupTable(name); ok {
-				placementName = name
-				break
-			}
-		}
-		if placementName == "" {
-			placementName = job.StateTables[0]
-		}
+	if placementName == "" {
+		placementName = placementTable(e.store, job.StateTables)
+	} else if t, ok := e.store.LookupTable(placementName); ok && t.Ubiquitous() {
+		return fmt.Errorf("%w: placement table %q is ubiquitous", ErrBadJob, placementName)
 	}
 	if placementName == "" {
-		// Pure-message job: private placement table.
+		// Pure-message or all-ubiquitous job: private placement table.
 		run.placement, err = run.privateTable("placement", kvstore.WithParts(job.PartsHint))
 	} else {
-		// The placement (or first state) table may not exist yet: create
-		// it, honoring PartsHint (0 is the store's default).
+		// The placement table may not exist yet: create it, honoring
+		// PartsHint (0 is the store's default).
 		run.placement, err = kvstore.OpenOrCreate(e.store, placementName, kvstore.WithParts(job.PartsHint))
 	}
 	if err != nil {
@@ -478,6 +472,24 @@ func (run *jobRun) setupTables() error {
 		run.metaTable, err = run.privateTable("meta", kvstore.ConsistentWith(run.placement.Name()))
 	}
 	return err
+}
+
+// placementTable picks the state table that places a job: the first existing
+// partitioned one, else the first one still to be created. A ubiquitous
+// table has no parts to place at, so a job whose state tables all exist
+// ubiquitous (or that has none) gets "": a private placement table.
+func placementTable(store kvstore.Store, names []string) string {
+	missing := ""
+	for _, name := range names {
+		t, ok := store.LookupTable(name)
+		if ok && !t.Ubiquitous() {
+			return name
+		}
+		if !ok && missing == "" {
+			missing = name
+		}
+	}
+	return missing
 }
 
 // privateTable creates the run's table __ebsp.<job>.<run>.<suffix>, which
@@ -573,17 +585,18 @@ func (run *jobRun) cleanup() {
 	}
 }
 
-// partViews opens the per-part views of the state tables for an agent.
-func (run *jobRun) partViews(sv kvstore.ShardView) (*localState, error) {
-	ls := &localState{views: make([]kvstore.PartView, len(run.stateTables))}
+// partViews opens the per-part views of the state tables for an agent, as
+// the state of the slot whose record is rec.
+func (run *jobRun) partViews(sv kvstore.ShardView, rec *partStepResult) (*slotState, error) {
+	st := &slotState{tabs: make([]kvAccess, len(run.stateTables)), rec: rec}
 	for i, t := range run.stateTables {
 		view, err := sv.View(t.Name())
 		if err != nil {
 			return nil, err
 		}
-		ls.views[i] = view
+		st.tabs[i] = view
 	}
-	return ls, nil
+	return st, nil
 }
 
 // broadcastView opens the reference table locally for an agent (nil when the

@@ -149,8 +149,8 @@ type Job struct {
 
 	// StateTables names the key/value tables factoring the components'
 	// state, addressed by index from Context.ReadState et al. Missing tables
-	// are created by the engine, consistently partitioned with the first
-	// existing one. All must be co-placed.
+	// are created by the engine, consistently partitioned with the placement
+	// table. All must be co-placed.
 	StateTables []string
 
 	// Compute is the component execution function. If it also implements
@@ -188,12 +188,14 @@ type Job struct {
 	Properties Properties
 
 	// Placement names the table whose partitioning drives the computation:
-	// one execution slot per part. Defaults to the first state table, then
-	// to an engine-created private table with PartsHint parts.
+	// one execution slot per part; a ubiquitous table cannot place a job.
+	// Defaults to the first existing partitioned state table, then to the
+	// first state table still to be created, then to an engine-created
+	// private table with PartsHint parts.
 	Placement string
 
-	// PartsHint sizes the private placement table when the job has neither
-	// state tables nor an explicit Placement. 0 means the store default.
+	// PartsHint sizes a placement table the engine creates. 0 means the
+	// store default.
 	PartsHint int
 
 	// MaxSteps bounds execution; 0 means unbounded (the job runs until no

@@ -7,7 +7,6 @@ import (
 
 	"ripple/internal/kvstore"
 	"ripple/internal/mq"
-	"ripple/internal/profile"
 	"ripple/internal/termination"
 	"ripple/internal/trace"
 )
@@ -109,15 +108,20 @@ func (run *jobRun) noSyncWorker(sv kvstore.ShardView, r mq.Reader, qs mq.Set,
 	det *termination.Detector, failed *atomic.Bool) (err error) {
 
 	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("ebsp: no-sync worker part %d: compute panicked: %v", sv.Part(), rec)
+		if p := recover(); p != nil {
+			err = fmt.Errorf("ebsp: no-sync worker part %d: compute panicked: %v", sv.Part(), p)
 		}
 		if err != nil {
 			failed.Store(true)
 		}
 	}()
 
-	ls, err := run.partViews(sv)
+	// The whole session is one step-0 record (no-sync has no steps): its
+	// counts, its time, and the part of that time spent waiting on the queue
+	// (blocked reads and empty polls). It is published when the session ends.
+	rec := &partStepResult{startNS: run.engine.prof.Now()}
+	start := time.Now()
+	st, err := run.partViews(sv, rec)
 	if err != nil {
 		return err
 	}
@@ -131,61 +135,23 @@ func (run *jobRun) noSyncWorker(sv kvstore.ShardView, r mq.Reader, qs mq.Set,
 		det:     det,
 		partOf:  run.placement.PartOf,
 		srcPart: sv.Part(),
+		rec:     rec,
 	}
 
-	// For sampled runs the whole worker session is one compute span (no-sync
-	// has no steps, so it lives at step 0), and the envelopes it emits carry
-	// that span as their provenance. Incoming edges are aggregated here,
-	// incrementally, because the session drains its queue message-by-message
-	// rather than receiving one batch.
+	// For sampled runs the session is the step-0 compute span, and the
+	// envelopes it emits carry that span as their provenance. Incoming edges
+	// are aggregated here, incrementally, because the session drains its
+	// queue message-by-message rather than receiving one batch.
 	var edges map[uint64]int64
-	var invoked int64
 	if run.sampled {
-		sess := run.spanID(0, sv.Part())
-		sink.trace, sink.span = run.traceID, sess
+		sink.trace, sink.span = run.traceID, run.spanID(0, sv.Part())
 		edges = make(map[uint64]int64)
-		sessStart := time.Now()
-		defer func() {
-			run.recordEdgeCounts(0, sv.Part(), edges)
-			run.engine.tracer.RecordSpan(trace.Span{
-				Kind: trace.KindPartCompute, Job: run.job.Name, Step: 0, Part: sv.Part(),
-				N: invoked, Dur: time.Since(sessStart),
-				Trace: run.traceID, Span: sess, Parent: run.rootSpan,
-			})
-		}()
 	}
-
-	// With a profiler attached the worker accounts for its whole session as
-	// one step-0 record: compute (busy) time, queue-wait (blocked reads and
-	// empty polls), and message/store counts. No-sync has no steps, so the
-	// record covers the part's entire run.
-	var state stateAccess = ls
-	prof := run.engine.prof
-	var counted *countingState
-	var queueWait time.Duration
-	var msgsIn int64
-	if prof != nil {
-		counted = &countingState{inner: state}
-		state = counted
-		startNS := prof.Now()
-		wStart := time.Now()
-		defer func() {
-			total := time.Since(wStart)
-			prof.Record(profile.StepProfile{
-				Job:         run.job.Name,
-				Step:        0,
-				Part:        sv.Part(),
-				StartNS:     startNS,
-				ComputeNS:   int64(total - queueWait),
-				QueueWaitNS: int64(queueWait),
-				MsgsIn:      msgsIn,
-				MsgsOut:     int64(sink.seq),
-				Enabled:     invoked,
-				StoreGets:   counted.gets.Load(),
-				StorePuts:   counted.puts.Load(),
-			})
-		}()
-	}
+	defer func() {
+		run.recordEdgeCounts(0, sv.Part(), edges)
+		rec.dur = time.Since(start)
+		run.observePartStats(0, sv.Part(), []*partStepResult{rec})
+	}()
 
 	// Per-sender dedup: queues preserve FIFO per (sender, receiver), so every
 	// fresh message from a sender carries a sequence number at or above the
@@ -202,9 +168,7 @@ func (run *jobRun) noSyncWorker(sv kvstore.ShardView, r mq.Reader, qs mq.Set,
 		}
 		readStart := time.Now()
 		raw, ok, rerr := r.Read(noSyncPoll)
-		if prof != nil {
-			queueWait += time.Since(readStart)
-		}
+		rec.wait += time.Since(readStart)
 		if rerr != nil {
 			failed.Store(true)
 			return fmt.Errorf("ebsp: no-sync worker part %d: %w", sv.Part(), rerr)
@@ -215,10 +179,6 @@ func (run *jobRun) noSyncWorker(sv kvstore.ShardView, r mq.Reader, qs mq.Set,
 					Kind: trace.KindQuiesce, Job: run.job.Name, Part: sv.Part(),
 					N: run.delivered.Load(), Trace: run.traceID, Parent: run.spanID(0, sv.Part()),
 				})
-				if run.debugEnabled() {
-					run.partLogger(0, sv.Part()).Debug("no-sync worker quiesced",
-						"msgs_in", msgsIn, "invoked", invoked, "emitted", sink.seq)
-				}
 				return nil
 			}
 			continue
@@ -232,16 +192,16 @@ func (run *jobRun) noSyncWorker(sv kvstore.ShardView, r mq.Reader, qs mq.Set,
 			continue
 		}
 		next[qm.Env.Src] = qm.Env.Seq + 1
-		msgsIn++
+		rec.msgsIn++
 		if edges != nil && qm.Env.Trace == run.traceID && qm.Env.Span != 0 {
 			edges[qm.Env.Span]++
 		}
 		if qm.Env.Kind != kindCreate {
-			invoked++
-			prof.ObserveKey(run.job.Name, qm.Env.Dst, 1)
+			rec.invoked++
+			run.engine.prof.ObserveKey(run.job.Name, qm.Env.Dst, 1)
 		}
 		sink.held = termination.Weight(qm.Weight)
-		if perr := run.processNoSyncMessage(qm.Env, state, bview, sink); perr != nil {
+		if perr := run.processNoSyncMessage(qm.Env, st, bview, sink); perr != nil {
 			_ = det.Return(sink.held)
 			return perr
 		}
@@ -299,7 +259,7 @@ func (run *jobRun) noSyncDelivered(part int, r mq.Reader) error {
 // compute invocation. The continue signal has no meaning without steps: the
 // queue sink drops it (a no-continue job returning it is still a property
 // violation).
-func (run *jobRun) processNoSyncMessage(env envelope, state stateAccess,
+func (run *jobRun) processNoSyncMessage(env envelope, state *slotState,
 	bview kvstore.PartView, sink *queueSink) error {
 
 	if env.Kind == kindCreate {
@@ -322,15 +282,17 @@ func (run *jobRun) processNoSyncMessage(env envelope, state stateAccess,
 
 // queueSink delivers a compute invocation's sends straight to the destination
 // queues, splitting the held termination weight onto each outgoing message.
+// What it sends is counted in the session's record; an envelope's Seq is the
+// number of envelopes the session emitted before it.
 type queueSink struct {
 	run     *jobRun
 	qs      mq.Set
 	det     *termination.Detector
 	partOf  func(any) int
 	srcPart int
+	rec     *partStepResult
 	trace   uint64 // trace context stamped onto every send; zero when unsampled
 	span    uint64 // the worker session's span ID
-	seq     int
 	held    termination.Weight
 	direct  []kvPair
 	err     error
@@ -343,8 +305,8 @@ func (s *queueSink) add(env envelope, run *jobRun) {
 		return // meaningless without steps
 	}
 	env.Src = s.srcPart
-	env.Seq = s.seq
-	s.seq++
+	env.Seq = int(s.rec.emitted)
+	s.rec.emitted++
 	if s.trace != 0 {
 		env.Trace, env.Span = s.trace, s.span
 	}
@@ -371,7 +333,7 @@ func (s *queueSink) add(env envelope, run *jobRun) {
 	}
 	// Create-state requests ride the queue but are not messages.
 	if env.Kind == kindData {
-		run.engine.metrics.AddMessagesSent(1)
+		s.rec.sent++
 	}
 	run.engine.metrics.InFlightEnvelopes().Inc()
 	run.sent.Add(1)

@@ -1,6 +1,7 @@
 package ebsp
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -244,5 +245,26 @@ func TestRunAnywhereFeedsCollector(t *testing.T) {
 	}
 	if got := m.BarrierWaits().Count(); got != slots {
 		t.Errorf("barrier-wait samples = %d, want %d", got, slots)
+	}
+}
+
+// The live skew gauge and the profile report read one step the same way,
+// even when the median part did no work: one busy part among idle ones.
+func TestSkewGaugeAgreesWithReport(t *testing.T) {
+	m := &metrics.Collector{}
+	rec := profile.New(16)
+	run := &jobRun{
+		engine: &Engine{metrics: m, prof: rec},
+		job:    &Job{Name: "skewagree"},
+		ctx:    context.Background(),
+		log:    discardLog,
+	}
+	run.observePartStats(1, 0, []*partStepResult{{dur: 4 * time.Millisecond}, {}, {}, {}})
+	rep := profile.AnalyzeRecorder(rec, 5)
+	if len(rep.Steps) != 1 {
+		t.Fatalf("report steps = %d, want 1", len(rep.Steps))
+	}
+	if gauge, report := m.StepSkewRatio().Load(), rep.Steps[0].SkewRatio; gauge != report {
+		t.Errorf("skew gauge = %v, report = %v: one step, two readings", gauge, report)
 	}
 }

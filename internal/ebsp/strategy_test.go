@@ -9,6 +9,7 @@ import (
 	"ripple/internal/gridstore"
 	"ripple/internal/kvstore"
 	"ripple/internal/memstore"
+	"ripple/internal/metrics"
 )
 
 func TestPlanForDerivations(t *testing.T) {
@@ -499,5 +500,63 @@ func TestNoSyncIneligibleErrorType(t *testing.T) {
 	// Clamp prevents the engine from reaching an unsafe state internally.
 	if ErrNoSyncIneligible == nil || !errors.Is(ErrNoSyncIneligible, ErrNoSyncIneligible) {
 		t.Error("ErrNoSyncIneligible malformed")
+	}
+}
+
+// A replayed part step is counted once: the Collector's invocation and
+// combining counters under a mid-step primary failure equal the fault-free
+// run's, because the rolled-back attempt's work is not the job's.
+func TestReplayedPartStepCountsCommittedWork(t *testing.T) {
+	run := func(kill bool) (metrics.Snapshot, *Result) {
+		store := gridstore.New(gridstore.WithParts(4), gridstore.WithReplicas(2))
+		t.Cleanup(func() { _ = store.Close() })
+		m := &metrics.Collector{}
+		var killOnce sync.Once
+		var msgs []InitialMessage
+		for k := 0; k < 8; k++ {
+			msgs = append(msgs, InitialMessage{Key: k, Message: 1}, InitialMessage{Key: k, Message: 2})
+		}
+		res, err := NewEngine(store, WithMetrics(m)).Run(&Job{
+			Name:        "replaycount",
+			StateTables: []string{"rpc_state"},
+			Combiner:    sumCombiner{},
+			Properties:  Properties{Deterministic: true},
+			Compute: ComputeFunc(func(ctx *Context) bool {
+				k, step := ctx.Key().(int), ctx.StepNum()
+				if kill && step == 2 && k == 3 {
+					killOnce.Do(func() {
+						tab, _ := store.LookupTable("rpc_state")
+						if err := store.FailPrimary("rpc_state", tab.PartOf(k)); err != nil {
+							t.Errorf("FailPrimary: %v", err)
+						}
+					})
+				}
+				total := 0
+				for _, m := range ctx.InputMessages() {
+					total += m.(int)
+				}
+				ctx.WriteState(0, total)
+				if step < 4 {
+					ctx.Send((k+1)%8, total)
+					ctx.Send((k*3)%8, 1)
+					ctx.Send((k+5)%8, 1)
+				}
+				return false
+			}),
+			Loaders: []Loader{&MessageLoader{Messages: msgs}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot(), res
+	}
+	want, _ := run(false)
+	got, res := run(true)
+	if !res.Strategy.FastRecovery || res.Recoveries < 1 {
+		t.Fatalf("fast recovery = %v, recoveries = %d: no part step was replayed", res.Strategy.FastRecovery, res.Recoveries)
+	}
+	if got.ComputeInvocations != want.ComputeInvocations || got.MessagesCombined != want.MessagesCombined {
+		t.Errorf("with a replay: compute_invocations %d, messages_combined %d; fault-free: %d, %d",
+			got.ComputeInvocations, got.MessagesCombined, want.ComputeInvocations, want.MessagesCombined)
 	}
 }

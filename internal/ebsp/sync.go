@@ -209,23 +209,27 @@ func (run *jobRun) writeInitialSpills(lc *LoadContext) error {
 	return nil
 }
 
-// partStepResult is what one execution slot — a part, or a run-anywhere
-// worker — reports back for a step.
+// partStepResult is the one record every execution slot fills — a part's
+// step, a run-anywhere worker, or a no-sync worker session (step 0, no
+// barrier). Its counts are slot-private and plain; observePartStats alone
+// publishes them.
 type partStepResult struct {
-	emitted int64
-	aggs    map[string]any
-	envs    []envelope // run-anywhere drain: the part's data envelopes for the workers
-	invoked int64      // compute invocations (enabled components) this step
-	merged  int64      // messages eliminated by the combiner (both sides) this step
-	dur     time.Duration
+	aggs map[string]any // this slot's partial aggregations
+	envs []envelope     // run-anywhere drain: the part's data envelopes for the workers
 
-	// Profiler-only measurements (zero unless a profiler is attached).
-	startNS   int64         // profiler clock at part start
-	drainWait time.Duration // time blocked draining spills
-	msgsIn    int64         // envelopes delivered to this part
-	gets      int64         // state-table gets
-	puts      int64         // state-table puts
-	bytes     int64         // encoded size of cross-part spill batches
+	invoked int64 // compute invocations (enabled components)
+	msgsIn  int64 // envelopes delivered to the slot
+	emitted int64 // envelopes emitted, all kinds, after combining
+	sent    int64 // of which data messages (messages_sent)
+	merged  int64 // messages eliminated by the combiner, both sides
+	spills  int64 // spill batches written
+	gets    int64 // state-table gets
+	puts    int64 // state-table puts and deletes
+	bytes   int64 // encoded size of cross-part spill batches (measured only while profiling)
+
+	startNS int64         // profiler clock at slot start
+	dur     time.Duration // slot wall time
+	wait    time.Duration // of which blocked on input: spill drain, or queue reads
 }
 
 // execStep runs one step across all parts, publishes the computing slots'
@@ -290,22 +294,27 @@ func fanOut[T any](n int, f func(slot int) (T, error)) ([]T, error) {
 	return results, nil
 }
 
-// observePartStats publishes one step's per-slot measurements: compute-time
-// and barrier-wait histograms (each slot idles behind the step's slowest
-// one), per-slot spans, profiler records, skew gauges, the combiner's
-// effectiveness, and the enabled-component gauge (selective enablement in
+// observePartStats is the one publisher of execution-slot records. It turns
+// one step's records into Collector counters, compute-time and barrier-wait
+// histograms (each slot idles behind the step's slowest one), per-slot spans,
+// profiler records, per-slot debug lines, skew gauges, the combiner's
+// effectiveness and the enabled-component gauge (selective enablement in
 // action). Slots are numbered from first: parts are 0..parts-1, and
 // run-anywhere workers parts+w, since their computes detach from any part.
+// A no-sync worker session publishes its record alone, at step 0: with no
+// barrier it books only counters, its span (sampled runs only), its profile
+// record and its debug line, and its compute time excludes its queue wait.
 func (run *jobRun) observePartStats(step, first int, results []*partStepResult) {
-	m := run.engine.metrics
-	tr := run.engine.tracer
-	prof := run.engine.prof
-	if m == nil && tr == nil && prof == nil {
+	m, tr, prof := run.engine.metrics, run.engine.tracer, run.engine.prof
+	debug := run.debugEnabled()
+	if m == nil && tr == nil && prof == nil && !debug {
 		return
 	}
+	barrier := step > 0
 	var slowest, fastest time.Duration
 	var invoked int64
 	straggler := first
+	durs := make([]int64, len(results))
 	for i, r := range results {
 		if i == 0 || r.dur < fastest {
 			fastest = r.dur
@@ -314,16 +323,31 @@ func (run *jobRun) observePartStats(step, first int, results []*partStepResult) 
 			slowest = r.dur
 			straggler = first + i
 		}
+		durs[i] = int64(r.dur)
 		invoked += r.invoked
+		m.AddComputeInvocations(r.invoked)
+		m.AddMessagesSent(r.sent)
+		m.AddMessagesCombined(r.merged)
+		m.AddSpills(r.spills)
 	}
-	stepSpan := run.spanID(step, -1)
+	parent, logMsg := run.spanID(step, -1), "part step done"
+	if !barrier {
+		parent, logMsg = run.rootSpan, "no-sync worker done"
+	}
 	for i, r := range results {
 		p := first + i
-		m.PartComputes().ObserveDuration(r.dur)
-		m.BarrierWaits().ObserveDuration(slowest - r.dur)
-		tr.RecordSpan(trace.Span{Kind: trace.KindPartCompute, Job: run.job.Name,
-			Step: step, Part: p, N: r.invoked, Dur: r.dur,
-			Trace: run.traceID, Span: run.spanID(step, p), Parent: stepSpan})
+		compute := r.dur
+		if barrier {
+			m.PartComputes().ObserveDuration(r.dur)
+			m.BarrierWaits().ObserveDuration(slowest - r.dur)
+		} else {
+			compute -= r.wait
+		}
+		if barrier || run.sampled {
+			tr.RecordSpan(trace.Span{Kind: trace.KindPartCompute, Job: run.job.Name,
+				Step: step, Part: p, N: r.invoked, Dur: r.dur,
+				Trace: run.traceID, Span: run.spanID(step, p), Parent: parent})
+		}
 		if r.merged > 0 {
 			tr.RecordSpan(trace.Span{Kind: trace.KindCombinerMerge, Job: run.job.Name,
 				Step: step, Part: p, N: r.merged,
@@ -334,9 +358,9 @@ func (run *jobRun) observePartStats(step, first int, results []*partStepResult) 
 			Step:            step,
 			Part:            p,
 			StartNS:         r.startNS,
-			ComputeNS:       int64(r.dur),
+			ComputeNS:       int64(compute),
 			BarrierWaitNS:   int64(slowest - r.dur),
-			QueueWaitNS:     int64(r.drainWait),
+			QueueWaitNS:     int64(r.wait),
 			MsgsIn:          r.msgsIn,
 			MsgsOut:         r.emitted,
 			MarshalledBytes: r.bytes,
@@ -345,36 +369,20 @@ func (run *jobRun) observePartStats(step, first int, results []*partStepResult) 
 			StorePuts:       r.puts,
 			Enabled:         r.invoked,
 		})
+		if debug {
+			run.partLogger(step, p).Debug(logMsg,
+				"invoked", r.invoked, "msgs_in", r.msgsIn, "emitted", r.emitted)
+		}
+	}
+	if !barrier {
+		return
 	}
 	m.EnabledComponents().Set(invoked)
-	m.StepSkewRatio().Set(stepSkewRatio(results, slowest))
+	m.StepSkewRatio().Set(profile.SkewRatio(durs))
 	m.StragglerPart().Set(int64(straggler))
 	tr.RecordSpan(trace.Span{Kind: trace.KindBarrier, Job: run.job.Name,
 		Step: step, Part: -1, N: int64(len(results)), Dur: slowest - fastest,
-		Trace: run.traceID, Parent: stepSpan})
-}
-
-// stepSkewRatio computes max/median part compute time for one step's results
-// (1 when the median is zero or there are no results).
-func stepSkewRatio(results []*partStepResult, slowest time.Duration) float64 {
-	if len(results) == 0 {
-		return 1
-	}
-	durs := make([]time.Duration, len(results))
-	for i, r := range results {
-		durs[i] = r.dur
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	// True median: average the two middle elements for even part counts
-	// (taking the lower middle overstates skew on 2-part jobs).
-	median := durs[len(durs)/2]
-	if len(durs)%2 == 0 {
-		median = (durs[len(durs)/2-1] + median) / 2
-	}
-	if median <= 0 {
-		return 1
-	}
-	return float64(slowest) / float64(median)
+		Trace: run.traceID, Parent: run.spanID(step, -1)})
 }
 
 // execPartStep runs one part's share of a step, with replay-based recovery
@@ -449,26 +457,26 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 				err = fmt.Errorf("ebsp: part %d step %d: compute panicked: %v", part, step, r)
 			}
 		}()
+		rec := &partStepResult{startNS: run.engine.prof.Now()}
 		partStart := time.Now()
-		startNS := run.engine.prof.Now()
 		transport, err := sv.View(run.transport.Name())
 		if err != nil {
 			return nil, err
 		}
 		envs, err := drainSpills(transport, step)
-		drainWait := time.Since(partStart)
+		rec.wait = time.Since(partStart)
 		if err != nil {
 			return nil, err
 		}
 		// Deliver edges use the owning part's coordinates even when the
 		// computes are stolen: causally, the messages arrived here.
 		run.recordDeliverEdges(step, part, envs)
-		ls, err := run.partViews(sv)
+		st, err := run.partViews(sv, rec)
 		if err != nil {
 			return nil, err
 		}
 		if run.strategy.RunAnywhere {
-			if err := run.applyCreates(envs, ls); err != nil {
+			if err := run.applyCreates(envs, st); err != nil {
 				return nil, err
 			}
 			data := envs[:0:0]
@@ -479,7 +487,7 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 			}
 			return &partStepResult{envs: data}, nil
 		}
-		hintReadAhead(ls.views, envs)
+		hintReadAhead(st.tabs, envs)
 		bview, err := run.broadcastView(sv)
 		if err != nil {
 			return nil, err
@@ -488,12 +496,12 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 		if err != nil {
 			return nil, err
 		}
-		slot := run.newComputeSlot(step, part, ls, aggPrev, bview)
-		if err := run.applyCreates(envs, slot.state); err != nil {
+		slot := run.newComputeSlot(step, part, st, aggPrev, bview)
+		if err := run.applyCreates(envs, st); err != nil {
 			return nil, err
 		}
 		if run.strategy.Collect {
-			err = deliverCollected(envs, run.strategy.Sort, run.job.combiner(), slot.countCombined, slot.invoke)
+			err = deliverCollected(envs, run.strategy.Sort, run.job.combiner(), &rec.merged, slot.invoke)
 		} else {
 			err = deliverUncollected(envs, run.strategy.Sort, run.job.Properties.OneMsg, slot.invoke)
 		}
@@ -503,23 +511,19 @@ func (run *jobRun) stepAgent(step, part int) kvstore.Agent {
 		if err := slot.finish(transport); err != nil {
 			return nil, err
 		}
-		result := slot.result(partStart, startNS, int64(len(envs)))
-		result.drainWait = drainWait
-		if run.debugEnabled() {
-			run.partLogger(step, part).Debug("part step done",
-				"invoked", result.invoked, "msgs_in", len(envs), "emitted", result.emitted)
-		}
+		rec.msgsIn = int64(len(envs))
+		rec.dur = time.Since(partStart)
 		if run.aggPartials != nil {
 			partials, err := sv.View(run.aggPartials.Name())
 			if err != nil {
 				return nil, err
 			}
-			if err := partials.Put(aggPartialKey{Step: step, Part: part}, result.aggs); err != nil {
+			if err := partials.Put(aggPartialKey{Step: step, Part: part}, rec.aggs); err != nil {
 				return nil, err
 			}
-			result.aggs = nil // merged through the table path instead
+			rec.aggs = nil // merged through the table path instead
 		}
-		return result, nil
+		return rec, nil
 	}
 }
 
@@ -533,13 +537,17 @@ func (run *jobRun) stealWorker(step, w int, tasks []envelope, next *atomic.Int64
 			err = fmt.Errorf("ebsp: run-anywhere worker %d: compute panicked: %v", w, r)
 		}
 	}()
+	rec := &partStepResult{startNS: run.engine.prof.Now()}
 	start := time.Now()
-	startNS := run.engine.prof.Now()
 	var bview kvstore.PartView
 	if run.refTable != nil {
 		bview = &remoteBroadcast{table: run.refTable}
 	}
-	slot := run.newComputeSlot(step, run.parts+w, &remoteState{tables: run.stateTables}, run.aggPrev, bview)
+	st := &slotState{tabs: make([]kvAccess, len(run.stateTables)), rec: rec}
+	for i, t := range run.stateTables {
+		st.tabs[i] = t
+	}
+	slot := run.newComputeSlot(step, run.parts+w, st, run.aggPrev, bview)
 	msgBuf := make([]any, 1)
 	for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
 		msgBuf[0] = tasks[i].Val
@@ -550,40 +558,35 @@ func (run *jobRun) stealWorker(step, w int, tasks []envelope, next *atomic.Int64
 	if err := slot.finish(nil); err != nil {
 		return nil, err
 	}
-	return slot.result(start, startNS, slot.invoked), nil
+	rec.msgsIn = rec.invoked
+	rec.dur = time.Since(start)
+	return rec, nil
 }
 
 // computeSlot is the compute stage of one execution slot — a part running
 // its own components, or a run-anywhere worker running stolen ones: it builds
-// each invocation's Context and buffers the slot's output.
+// each invocation's Context, buffers the slot's output and counts its work in
+// the slot's record.
 type computeSlot struct {
 	run       *jobRun
 	step      int
-	state     stateAccess
-	counted   *countingState // state's counters, while a profiler is attached
+	state     *slotState
 	out       *outBuffer
 	aggPrev   map[string]any
-	aggLocal  map[string]any
 	broadcast kvstore.PartView
-	invoked   int64
-	merged    int64 // messages eliminated by receiver-side combining
 }
 
-func (run *jobRun) newComputeSlot(step, slot int, state stateAccess, aggPrev map[string]any,
+func (run *jobRun) newComputeSlot(step, slot int, state *slotState, aggPrev map[string]any,
 	broadcast kvstore.PartView) *computeSlot {
 
+	state.rec.aggs = make(map[string]any)
 	c := &computeSlot{
 		run:       run,
 		step:      step,
 		state:     state,
-		out:       newOutBuffer(slot, run.parts, run.placement.PartOf, run.job.combiner()),
+		out:       newOutBuffer(slot, run.placement.PartOf, run.job.combiner(), state.rec),
 		aggPrev:   aggPrev,
-		aggLocal:  make(map[string]any),
 		broadcast: broadcast,
-	}
-	if run.engine.prof != nil {
-		c.counted = &countingState{inner: state}
-		c.state = c.counted
 	}
 	if run.sampled {
 		c.out.trace, c.out.span = run.traceID, run.spanID(step, slot)
@@ -593,7 +596,7 @@ func (run *jobRun) newComputeSlot(step, slot int, state stateAccess, aggPrev map
 
 // invoke runs one component invocation in this slot.
 func (c *computeSlot) invoke(key any, msgs []any, continued bool) error {
-	c.invoked++
+	c.state.rec.invoked++
 	c.run.engine.prof.ObserveKey(c.run.job.Name, key, int64(len(msgs)))
 	return c.run.invokeCompute(&Context{
 		run:       c.run,
@@ -604,14 +607,9 @@ func (c *computeSlot) invoke(key any, msgs []any, continued bool) error {
 		state:     c.state,
 		out:       c.out,
 		aggPrev:   c.aggPrev,
-		aggLocal:  c.aggLocal,
+		aggLocal:  c.state.rec.aggs,
 		broadcast: c.broadcast,
 	}, c.out)
-}
-
-func (c *computeSlot) countCombined(n int64) {
-	c.merged += n
-	c.run.engine.metrics.AddMessagesCombined(n)
 }
 
 // finish writes the slot's spills for the next step — same-part batches
@@ -623,25 +621,11 @@ func (c *computeSlot) finish(local kvstore.PartView) error {
 	return c.out.exportDirect(c.run)
 }
 
-// result reports the finished slot's step.
-func (c *computeSlot) result(start time.Time, startNS, msgsIn int64) *partStepResult {
-	r := &partStepResult{
-		emitted: c.out.count, aggs: c.aggLocal,
-		invoked: c.invoked, merged: c.merged + c.out.combined, dur: time.Since(start),
-		startNS: startNS, msgsIn: msgsIn, bytes: c.out.bytes,
-	}
-	if c.counted != nil {
-		r.gets = c.counted.gets.Load()
-		r.puts = c.counted.puts.Load()
-	}
-	return r
-}
-
 // hintReadAhead names the step's enabled keys — the only keys its creates and
 // computes can read — to every state view that can batch reads. The key slice
 // is built only once such a view exists, so stores without the capability
 // pay a failed type assertion per state table and nothing else.
-func hintReadAhead(views []kvstore.PartView, envs []envelope) {
+func hintReadAhead(views []kvAccess, envs []envelope) {
 	var keys []any
 	for _, view := range views {
 		ra, ok := view.(kvstore.ReadAheader)
@@ -664,7 +648,6 @@ func hintReadAhead(views []kvstore.PartView, envs []envelope) {
 // invokeCompute runs one component invocation: compute, continue-signal
 // handling, and write-back finalization.
 func (run *jobRun) invokeCompute(ctx *Context, out outSink) error {
-	run.engine.metrics.AddComputeInvocations(1)
 	cont := run.job.Compute.Compute(ctx)
 	if err := ctx.finish(); err != nil {
 		return fmt.Errorf("ebsp: component %v step %d: %w", ctx.key, ctx.step, err)
@@ -716,7 +699,7 @@ func drainSpills(transport kvstore.PartView, step int) ([]envelope, error) {
 // applyCreates applies the CreateState requests among the envelopes,
 // combining conflicts with the job's state combiner (last-writer-wins in
 // deterministic order without one).
-func (run *jobRun) applyCreates(envs []envelope, state stateAccess) error {
+func (run *jobRun) applyCreates(envs []envelope, state *slotState) error {
 	sc := run.job.stateCombiner()
 	for _, env := range envs {
 		if env.Kind != kindCreate {
@@ -748,9 +731,9 @@ type inbox struct {
 
 // deliverCollected groups envelopes into per-component value lists (the
 // "(key, value list) pairs ... in an appropriate local table", §IV-A) and
-// invokes each enabled component once.
+// invokes each enabled component once, counting combined messages in merged.
 func deliverCollected(envs []envelope, ordered bool, combiner MessageCombiner,
-	countCombined func(int64), invoke func(key any, msgs []any, continued bool) error) error {
+	merged *int64, invoke func(key any, msgs []any, continued bool) error) error {
 
 	index := make(map[any]*inbox)
 	var order []*inbox
@@ -769,7 +752,7 @@ func deliverCollected(envs []envelope, ordered bool, combiner MessageCombiner,
 			ib := lookup(env.Dst)
 			if combiner != nil && len(ib.msgs) > 0 {
 				ib.msgs[len(ib.msgs)-1] = combiner.CombineMessages(env.Dst, ib.msgs[len(ib.msgs)-1], env.Val)
-				countCombined(1)
+				*merged++
 			} else {
 				ib.msgs = append(ib.msgs, env.Val)
 			}

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -15,7 +16,8 @@ type StepSkew struct {
 	MedianComputeNS int64 `json:"median_compute_ns"`
 	TotalComputeNS  int64 `json:"total_compute_ns"`
 	// SkewRatio is max/median part compute time: 1.0 is perfectly balanced;
-	// a step whose slowest part took 4x the median scores 4.0.
+	// a step whose slowest part took 4x the median scores 4.0 (see the
+	// SkewRatio function for a median of zero).
 	SkewRatio float64 `json:"skew_ratio"`
 	// StragglerPart is the part that set the step's critical path.
 	StragglerPart int `json:"straggler_part"`
@@ -142,13 +144,8 @@ func Analyze(profs []StepProfile, hot []KeyCount, topK int) *Report {
 				straggler = p
 			}
 		}
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		// True median: average the two middles for even part counts (the
-		// lower middle alone overstates skew on 2-part jobs).
-		median := durs[len(durs)/2]
-		if len(durs)%2 == 0 {
-			median = (durs[len(durs)/2-1] + median) / 2
-		}
+		skew := SkewRatio(durs) // sorts durs
+		median := medianOf(durs)
 		ss := StepSkew{
 			Job:             k.job,
 			Step:            k.step,
@@ -158,13 +155,7 @@ func Analyze(profs []StepProfile, hot []KeyCount, topK int) *Report {
 			TotalComputeNS:  total,
 			StragglerPart:   straggler.Part,
 			BarrierWaitNS:   wait,
-		}
-		if median > 0 {
-			ss.SkewRatio = float64(ss.MaxComputeNS) / float64(median)
-		} else if ss.MaxComputeNS > 0 {
-			ss.SkewRatio = float64(ss.Parts)
-		} else {
-			ss.SkewRatio = 1
+			SkewRatio:       skew,
 		}
 		if ss.MaxComputeNS > 0 {
 			ss.CriticalPathShare = float64(ss.MaxComputeNS-median) / float64(ss.MaxComputeNS)
@@ -216,6 +207,37 @@ func Analyze(profs []StepProfile, hot []KeyCount, topK int) *Report {
 	}
 	rep.HotKeys = hot
 	return rep
+}
+
+// SkewRatio is one step's skew over its parts' compute times: the slowest
+// part's time over the median part's. When the median part did no work, a
+// step where some part worked counts as one part doing all of it (the part
+// count) and an idle step as balanced (1). It sorts durs in place. The live
+// step-skew gauge and Analyze both read a step through it.
+func SkewRatio(durs []int64) float64 {
+	if len(durs) == 0 {
+		return 1
+	}
+	slices.Sort(durs)
+	slowest, median := durs[len(durs)-1], medianOf(durs)
+	switch {
+	case median > 0:
+		return float64(slowest) / float64(median)
+	case slowest > 0:
+		return float64(len(durs))
+	default:
+		return 1
+	}
+}
+
+// medianOf is the median of sorted durs: the mean of the two middle ones for
+// an even count (the lower middle alone overstates skew on 2-part jobs).
+func medianOf(sorted []int64) int64 {
+	m := sorted[len(sorted)/2]
+	if len(sorted)%2 == 0 {
+		m = (sorted[len(sorted)/2-1] + m) / 2
+	}
+	return m
 }
 
 // AnalyzeRecorder is Analyze over a recorder's current contents.
