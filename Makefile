@@ -102,10 +102,11 @@ fleet-smoke:
 serve-smoke:
 	$(GO) test -count=1 -run TestServeSmoke ./internal/serve/
 
-# SSSP end-to-end smoke: both variants through five change batches; the
+# SSSP end-to-end smoke: both variants through thirty change batches, enough
+# that hot vertices see repeated adds and removes within one batch; the
 # example exits non-zero unless each matches a BFS reference after every batch.
 sssp-smoke:
-	$(GO) run ./examples/sssp -vertices 400 -edges 3000 -batches 5 -batch-size 100
+	$(GO) run ./examples/sssp -vertices 400 -edges 3000 -batches 30 -batch-size 100
 
 # Process-kill network soak: the SSSP full-scan workload against real
 # ripple-part-server child processes over loopback while the chaos schedule

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -452,4 +453,189 @@ func TestSelectiveBatchRPCBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainstReference(t, "fleet selective", got, mirror, 0)
+}
+
+// hubBatch is a star around vertex 0 with hubDegree edges, plus 50 vertices
+// outside it, and a 100-change batch in which every change touches the hub:
+// it adds an edge to each outside vertex and removes 50 of the star's edges,
+// alternately.
+func hubBatch(hubDegree int) (*workload.UndirectedGraph, []workload.Change) {
+	g := workload.NewUndirected(hubDegree + 51)
+	for v := 1; v <= hubDegree; v++ {
+		g.AddEdge(0, v)
+	}
+	var batch []workload.Change
+	for i := 0; i < 50; i++ {
+		batch = append(batch,
+			workload.Change{Kind: workload.AddEdge, U: 0, V: hubDegree + 1 + i},
+			workload.Change{Kind: workload.RemoveEdge, U: 0, V: 1 + i})
+	}
+	return g, batch
+}
+
+// TestBatchEditAllocBudget gates what a batch's edits allocate: a state the
+// batch changes is copied once per batch, not once per change. Every change
+// of the batch touches the hub, so copying it per change allocates about
+// 100 times its lists' bytes; the budget is 8 times. TotalAlloc counts the
+// whole process, so the test must not run in parallel.
+func TestBatchEditAllocBudget(t *testing.T) {
+	const hubDegree = 4000
+	g, batch := hubBatch(hubDegree)
+	for _, tc := range []struct {
+		name      string
+		hubBytes  uint64 // of the hub's Nbrs plus, for SelState, NbrDist
+		newDriver func(e *ebsp.Engine) batchDriver
+		edit      func(kvstore.Store, string, []workload.Change) (*BatchStats, []workload.Change, error)
+	}{
+		{"selective", 8 * hubDegree, func(e *ebsp.Engine) batchDriver { return NewSelective(e, "g", 0, 6) }, editGraph[SelState]},
+		{"fullscan", 4 * hubDegree, func(e *ebsp.Engine) batchDriver { return NewFullScan(e, "g", 0, 6) }, editGraph[FsState]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := memstore.New(memstore.WithParts(6))
+			t.Cleanup(func() { _ = mem.Close() })
+			if err := tc.newDriver(ebsp.NewEngine(mem)).Init(cloneGraph(g)); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, applied, err := tc.edit(mem, "g", batch)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(applied) != len(batch) {
+				t.Fatalf("%d of %d changes applied", len(applied), len(batch))
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("edits allocated %d B, %.1fx the hub's %d B", alloc, float64(alloc)/float64(tc.hubBytes), tc.hubBytes)
+			if alloc > 8*tc.hubBytes {
+				t.Errorf("edits allocated %d B, want at most %d (8 x the hub's %d B)", alloc, 8*tc.hubBytes, tc.hubBytes)
+			}
+		})
+	}
+}
+
+// TestBatchEditLeavesStoredValuesAlone is the net under the in-place edits:
+// memstore and gridstore hand out the stored values themselves, and a batch
+// must edit only its own copies of them. The batch adds, removes and re-adds
+// one hub edge and removes then re-adds another; the table it leaves must
+// equal the batch replayed one change at a time, each edit on a fresh copy.
+func TestBatchEditLeavesStoredValuesAlone(t *testing.T) {
+	g, hub := hubGraph(t, 300, 2400)
+	absent, present := -1, -1
+	for v := 0; v < g.NumVertices && (absent < 0 || present < 0); v++ {
+		switch {
+		case v == hub:
+		case g.HasEdge(hub, v) && present < 0:
+			present = v
+		case !g.HasEdge(hub, v) && absent < 0:
+			absent = v
+		}
+	}
+	add := func(v int) workload.Change { return workload.Change{Kind: workload.AddEdge, U: hub, V: v} }
+	rm := func(v int) workload.Change { return workload.Change{Kind: workload.RemoveEdge, U: hub, V: v} }
+	batch := []workload.Change{add(absent), rm(absent), add(absent), rm(present), add(present)}
+	for _, s := range []struct {
+		name     string
+		newStore func() kvstore.Store
+	}{
+		{"memstore", func() kvstore.Store { return memstore.New(memstore.WithParts(6)) }},
+		{"gridstore", func() kvstore.Store { return gridstore.New(gridstore.WithParts(6), gridstore.WithReplicas(2)) }},
+	} {
+		t.Run(s.name+"/selective", func(t *testing.T) {
+			store := s.newStore()
+			t.Cleanup(func() { _ = store.Close() })
+			if err := NewSelective(ebsp.NewEngine(store), "g", hub, 6).Init(cloneGraph(g)); err != nil {
+				t.Fatal(err)
+			}
+			checkStoredValuesAlone[SelState](t, store, batch)
+		})
+		t.Run(s.name+"/fullscan", func(t *testing.T) {
+			store := s.newStore()
+			t.Cleanup(func() { _ = store.Close() })
+			if err := NewFullScan(ebsp.NewEngine(store), "g", hub, 6).Init(cloneGraph(g)); err != nil {
+				t.Fatal(err)
+			}
+			checkStoredValuesAlone[FsState](t, store, batch)
+		})
+	}
+}
+
+// checkStoredValuesAlone runs batch's edits on table "g" of store and checks
+// that every value the store handed out before is unchanged and that the
+// table equals a per-change reference replay.
+func checkStoredValuesAlone[S edgeLists[S]](t *testing.T, store kvstore.Store, batch []workload.Change) {
+	t.Helper()
+	tab, ok := store.LookupTable("g")
+	if !ok {
+		t.Fatal("table g missing")
+	}
+	held, err := kvstore.Dump(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := make(map[any]any, len(held))
+	for k, v := range held {
+		if copies[k], err = codec.DeepCopy(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := editGraph[S](store, "g", batch); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range held {
+		if !sameEncoding(t, v, copies[k]) {
+			t.Errorf("vertex %v: the value held before the batch changed to %+v, was %+v", k, v, copies[k])
+		}
+	}
+
+	ref := make(map[int]S, len(copies))
+	for k, v := range copies {
+		ref[k.(int)] = v.(S)
+	}
+	fresh := func(s S) S {
+		c, err := codec.DeepCopy(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.(S)
+	}
+	for _, c := range batch {
+		su, sv := ref[c.U], ref[c.V]
+		i := indexOf(su.nbrs(), int32(c.V))
+		switch {
+		case c.Kind == workload.AddEdge && i < 0:
+			ref[c.U], ref[c.V] = fresh(su).linked(int32(c.V), sv), fresh(sv).linked(int32(c.U), su)
+		case c.Kind == workload.RemoveEdge && i >= 0:
+			ref[c.U], ref[c.V] = fresh(su).unlinked(i), fresh(sv).unlinked(indexOf(sv.nbrs(), int32(c.U)))
+		}
+	}
+	got, err := kvstore.Dump(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(ref) {
+		t.Fatalf("%d states after the batch, want %d", len(got), len(ref))
+	}
+	for k, v := range got {
+		if want := ref[k.(int)]; !sameEncoding(t, v, want) {
+			t.Errorf("vertex %v after the batch: %+v, want %+v", k, v, want)
+		}
+	}
+}
+
+// sameEncoding reports whether a and b encode to the same bytes, the
+// equality a table digest sees: a nil and an empty list are the same.
+func sameEncoding(t *testing.T, a, b any) bool {
+	t.Helper()
+	ea, err := codec.Encode(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := codec.Encode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ea, eb)
 }

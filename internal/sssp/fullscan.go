@@ -131,12 +131,12 @@ func (f *FullScan) ApplyBatch(batch []workload.Change) (*BatchStats, error) {
 	return stats, nil
 }
 
-// linked, unlinked and nbrs are FsState's edits for editGraph.
-func (s FsState) linked(to int32, _ FsState) FsState {
-	return FsState{Dist: s.Dist, Nbrs: append(slices.Clip(s.Nbrs), to)}
-}
+// cloned, linked, unlinked and nbrs are FsState's edits for editGraph.
+func (s FsState) cloned() FsState { return FsState{Dist: s.Dist, Nbrs: slices.Clone(s.Nbrs)} }
 
-func (s FsState) unlinked(i int) FsState { return FsState{Dist: s.Dist, Nbrs: cut(s.Nbrs, i)} }
+func (s FsState) linked(to int32, _ FsState) FsState { s.Nbrs = append(s.Nbrs, to); return s }
+
+func (s FsState) unlinked(i int) FsState { s.Nbrs = slices.Delete(s.Nbrs, i, i+1); return s }
 
 func (s FsState) nbrs() []int32 { return s.Nbrs }
 

@@ -145,23 +145,23 @@ func indexOf(xs []int32, x int32) int {
 	return -1
 }
 
+func (s SelState) cloned() SelState {
+	return SelState{Nbrs: slices.Clone(s.Nbrs), NbrDist: slices.Clone(s.NbrDist), Dist: s.Dist}
+}
+
 // linked is s plus an edge to vertex to, whose cache entry is other's
-// annotation. Like unlinked it builds new slices: s may be the stored value.
+// annotation. Like unlinked it edits s's slices: s is a batch-owned clone.
 func (s SelState) linked(to int32, other SelState) SelState {
-	return SelState{Nbrs: append(slices.Clip(s.Nbrs), to), NbrDist: append(slices.Clip(s.NbrDist), other.Dist), Dist: s.Dist}
+	s.Nbrs, s.NbrDist = append(s.Nbrs, to), append(s.NbrDist, other.Dist)
+	return s
 }
 
 func (s SelState) unlinked(i int) SelState {
-	return SelState{Nbrs: cut(s.Nbrs, i), NbrDist: cut(s.NbrDist, i), Dist: s.Dist}
+	s.Nbrs, s.NbrDist = slices.Delete(s.Nbrs, i, i+1), slices.Delete(s.NbrDist, i, i+1)
+	return s
 }
 
 func (s SelState) nbrs() []int32 { return s.Nbrs }
-
-func cut(xs []int32, i int) []int32 {
-	out := make([]int32, 0, len(xs)-1)
-	out = append(out, xs[:i]...)
-	return append(out, xs[i+1:]...)
-}
 
 // runWave runs one selective update wave as one EBSP job: only the seed
 // vertices — and whatever their updates ripple into — are ever invoked.

@@ -255,17 +255,20 @@ func supported(cache []int32, d int32) bool {
 }
 
 // edgeLists is a vertex state whose neighbour list a change batch edits.
-// Its edits return a new state and leave the receiver's slices alone.
+// cloned copies the state's slices; linked and unlinked edit them in place,
+// so they are called only on a copy the batch owns, never on a stored value.
 type edgeLists[S any] interface {
 	nbrs() []int32
+	cloned() S
 	linked(to int32, other S) S // plus an edge to vertex to, whose state is other
-	unlinked(i int) S           // less the edge at index i
+	unlinked(i int) S           // less the edge at index i, order kept
 }
 
 // editGraph applies batch's structural edits to table — add if absent,
 // remove if present, skip when an endpoint has no state — and returns the
 // changes that modified the graph, in batch order. One agent per touched
-// part reads each touched state once; the batch is replayed on those states;
+// part reads each touched state once; the batch is replayed on those states,
+// each cloned once on its first change and edited in place from then on;
 // one agent per part holding a changed state writes it once. No state
 // crosses the store boundary, and a batch whose writes fail part-way is
 // partly applied.
@@ -308,7 +311,13 @@ func editGraph[S edgeLists[S]](store kvstore.Store, table string, batch []worklo
 
 	stats := &BatchStats{}
 	var applied []workload.Change
-	changed := map[int]bool{}
+	changed := map[int]bool{} // the states the batch has cloned, and so owns
+	own := func(k int) S {
+		if !changed[k] {
+			states[k], changed[k] = states[k].cloned(), true
+		}
+		return states[k]
+	}
 	for _, c := range batch {
 		su, okU := states[c.U]
 		sv, okV := states[c.V]
@@ -318,17 +327,16 @@ func editGraph[S edgeLists[S]](store kvstore.Store, table string, batch []worklo
 		iu := indexOf(su.nbrs(), int32(c.V))
 		switch {
 		case c.Kind == workload.AddEdge && iu < 0:
-			states[c.U], states[c.V] = su.linked(int32(c.V), sv), sv.linked(int32(c.U), su)
+			states[c.U], states[c.V] = own(c.U).linked(int32(c.V), sv), own(c.V).linked(int32(c.U), su)
 		case c.Kind == workload.RemoveEdge && iu >= 0:
-			states[c.U] = su.unlinked(iu)
+			states[c.U] = own(c.U).unlinked(iu)
 			if iv := indexOf(sv.nbrs(), int32(c.U)); iv >= 0 {
-				states[c.V] = sv.unlinked(iv)
+				states[c.V] = own(c.V).unlinked(iv)
 			}
 			stats.HardCase = true
 		default:
 			continue
 		}
-		changed[c.U], changed[c.V] = true, true
 		applied = append(applied, c)
 	}
 	stats.Applied = len(applied)
